@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from multiprocessing import get_context
 import time
 from typing import Callable, Iterable
 
@@ -41,6 +40,7 @@ from .formats import parse_edge_list
 from .graphs import Edge, Graph, disjoint_union, one_vertex_union, \
     two_vertex_union
 from .minimality import is_minor_minimal, is_minor_minimal_upclosed
+from .parallel import parallel_map
 from .planarity import is_planar
 from .properties import Property, check
 
@@ -641,11 +641,7 @@ def verify_entries(entries: Iterable[CatalogEntry],
     ]
     # heaviest first so parallel workers drain evenly
     tasks.sort(key=lambda t: (not t[1].startswith("MM-"), -(t[2] + len(t[3]))))
-    if jobs > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            raw = pool.map(_claim_task, tasks, chunksize=1)
-    else:
-        raw = [_claim_task(t) for t in tasks]
+    raw = parallel_map(_claim_task, tasks, jobs)
     by_entry: dict[str, dict[str, dict]] = {}
     for entry_id, claim, ok, detail in raw:
         record = {"ok": ok}

@@ -10,7 +10,9 @@ Subcommands:
 * ``expand FILE --depth D ...``     close under moves, sieve the family
 
 Exit codes: 0 success, 1 a property/minimality/verification check came
-back false, 2 usage, parse or resource-cap errors.  Graph files hold
+back false, 2 usage, parse or resource-cap errors and internal
+consistency errors (a bug, reported in one line).  ``--jobs`` must be at
+least 1 and is capped at the usable CPU count.  Graph files hold
 one graph per line, graph6 or ``{(a,b),...}`` edge-list text, detected
 per line.  ``--json`` swaps the text output for one versioned JSON
 document; graph output lists are canonical and independent of --jobs.
@@ -448,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         return _USAGE_ERROR
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
+    except RuntimeError as exc:  # CatalogError and other consistency checks
+        print(f"internal error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

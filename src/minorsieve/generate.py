@@ -25,7 +25,6 @@ check, and results are independent of shard count and job count.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -34,10 +33,10 @@ from .canon import canonical_data, canonical_key_rows, relabel_rows
 from .errors import ResourceLimitError
 from .graphs import Graph, Rows, rows_component_masks, rows_connected, \
     rows_delete_vertex, rows_size
-from .minimality import is_minor_minimal_exhaustive, \
-    is_minor_minimal_upclosed, is_mmne, is_mmnc
+from .minimality import is_minor_minimal
+from .parallel import parallel_map, worker_count
 from .planarity import is_planar_rows
-from .properties import Property, UPWARD_CLOSED
+from .properties import Property
 
 #: default ceiling on enumeration order; anything beyond it is a
 #: multi-hour sweep and must be requested explicitly
@@ -245,33 +244,31 @@ def _expand_chunk(args: tuple[list[Rows], EnumFilter | None]) -> list[tuple[byte
     return out
 
 
-def _chunked(items: list, pieces: int) -> list[list]:
-    if pieces <= 1 or len(items) <= 1:
+def _chunked(items: list, jobs: int) -> list[list]:
+    """Four pieces per worker, so uneven pieces still drain evenly."""
+    workers = worker_count(jobs, len(items))
+    if workers == 1:
         return [items]
-    span = max(1, (len(items) + pieces - 1) // pieces)
+    span = -(-len(items) // (4 * workers))
     return [items[i:i + span] for i in range(0, len(items), span)]
 
 
-def _map_chunks(func, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [func(p) for p in payloads]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(func, payloads)
-
-
 def _final_pairs(filt: EnumFilter, jobs: int = 1,
-                 max_order: int = MAX_ENUM_ORDER) -> list[tuple[bytes, Rows]]:
+                 max_order: int = MAX_ENUM_ORDER, shard: int = 0,
+                 shards: int = 1) -> list[tuple[bytes, Rows]]:
+    """Sorted (key, canonical rows) pairs of the final level, restricted
+    to the children of every ``shards``-th parent from ``shard`` on."""
     if filt.order > max_order:
         raise ResourceLimitError(
             f"enumeration capped at order {max_order}; asked for {filt.order}"
         )
     if filt.order == 1:
         rows: Rows = (0,)
-        return [(canonical_key_rows(rows), rows)] if filt.admits(rows) else []
-    parents = universe_level(filt.order - 1)
-    chunks = _chunked(parents, jobs * 4 if jobs > 1 else 1)
-    results = _map_chunks(_expand_chunk, [(c, filt) for c in chunks], jobs)
+        return [(canonical_key_rows(rows), rows)] \
+            if shard == 0 and filt.admits(rows) else []
+    parents = universe_level(filt.order - 1)[shard::shards]
+    chunks = _chunked(parents, jobs)
+    results = parallel_map(_expand_chunk, [(c, filt) for c in chunks], jobs)
     merged: dict[bytes, Rows] = {}
     total = 0
     for part in results:
@@ -313,16 +310,8 @@ def enumerate_partition(filt: EnumFilter, shard: int, shards: int,
     duplicates; any single shard is restartable in isolation."""
     if not 0 <= shard < shards:
         raise ValueError("need 0 <= shard < shards")
-    if filt.order > max_order:
-        raise ResourceLimitError(
-            f"enumeration capped at order {max_order}; asked for {filt.order}"
-        )
-    if filt.order == 1:
-        return [Graph.from_rows((0,))] if shard == 0 and filt.admits((0,)) else []
-    parents = universe_level(filt.order - 1)[shard::shards]
-    pairs = _expand_chunk((parents, filt))
-    pairs.sort(key=lambda kr: kr[0])
-    return [Graph.from_rows(rows) for _, rows in pairs]
+    return [Graph.from_rows(rows)
+            for _, rows in _final_pairs(filt, 1, max_order, shard, shards)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +338,11 @@ class SearchReport:
         return hist
 
 
-def _decide(prop: Property, g: Graph) -> bool:
-    if prop in UPWARD_CLOSED:
-        return is_minor_minimal_upclosed(g, prop)
-    if prop is Property.NE:
-        return is_mmne(g)
-    if prop is Property.NC:
-        return is_mmnc(g)
-    return is_minor_minimal_exhaustive(g, prop)
-
-
 def _decide_chunk(args: tuple[str, list[Rows]]) -> list[Rows]:
     prop_value, rows_list = args
     prop = Property(prop_value)
     return [rows for rows in rows_list
-            if _decide(prop, Graph.from_rows(rows))]
+            if is_minor_minimal(Graph.from_rows(rows), prop)]
 
 
 def search_minor_minimal(prop: Property, orders: Iterable[int],
@@ -391,9 +370,9 @@ def search_minor_minimal(prop: Property, orders: Iterable[int],
         pairs = _final_pairs(filt, jobs, max_order)
         scanned += len(pairs)
         rows_list = [rows for _, rows in pairs]
-        chunks = _chunked(rows_list, jobs * 4 if jobs > 1 else 1)
-        results = _map_chunks(_decide_chunk,
-                              [(prop.value, c) for c in chunks], jobs)
+        chunks = _chunked(rows_list, jobs)
+        results = parallel_map(_decide_chunk,
+                               [(prop.value, c) for c in chunks], jobs)
         for part in results:
             hits.extend((canonical_key_rows(rows), rows) for rows in part)
     hits.sort(key=lambda kr: kr[0])

@@ -47,6 +47,12 @@ def edges_from_rows(rows: Rows) -> list[Edge]:
     return [(u, v) for u in range(n) for v in bits(rows[u] >> (u + 1) << (u + 1))]
 
 
+def rows_non_edges(rows: Rows) -> list[Edge]:
+    n = len(rows)
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if not (rows[u] >> v) & 1]
+
+
 def rows_size(rows: Rows) -> int:
     return sum(r.bit_count() for r in rows) // 2
 
@@ -241,13 +247,7 @@ class Graph:
 
     def non_edges(self) -> list[Edge]:
         """Nonadjacent unordered pairs, lexicographically sorted."""
-        rows = self.rows()
-        return [
-            (u, v)
-            for u in range(self.order)
-            for v in range(u + 1, self.order)
-            if not (rows[u] >> v) & 1
-        ]
+        return rows_non_edges(self.rows())
 
     def is_complete(self) -> bool:
         return self.size == self.order * (self.order - 1) // 2

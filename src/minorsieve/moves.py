@@ -23,14 +23,16 @@ the moves preserve the property but not minimality.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
-from multiprocessing import get_context
 import time
 
 from .canon import canonical_key
+from .errors import ResourceLimitError
 from .generate import SearchReport
-from .graphs import Edge, Graph
-from .minimality import is_mmnc, is_mmne
+from .graphs import Graph
+from .minimality import SIEVE_MEMBER_CAP, is_minor_minimal
+from .parallel import parallel_map
 from .planarity import is_planar
 from .properties import Property, check
 
@@ -113,12 +115,6 @@ def _expansions(g: Graph, moves: tuple[str, ...]) -> list[Graph]:
     return out
 
 
-def _sieve_task(task: tuple[str, int, tuple[Edge, ...]]) -> bool:
-    prop_value, order, edges = task
-    g = Graph(order, edges)
-    return is_mmne(g) if prop_value == "NE" else is_mmnc(g)
-
-
 def explore_family(seeds: list[Graph], prop: Property | str, depth: int,
                    moves: tuple[str, ...] = MOVE_NAMES,
                    jobs: int = 1) -> SearchReport:
@@ -128,7 +124,8 @@ def explore_family(seeds: list[Graph], prop: Property | str, depth: int,
     collected up to isomorphism and each is run through the full
     minor-minimality sieve for ``prop`` (NE or NC); the moves preserve
     the property but not minimality, so no shortcut applies.  Results
-    are sorted by canonical key and independent of ``jobs``.
+    are sorted by canonical key and independent of ``jobs``.  More than
+    ``SIEVE_MEMBER_CAP`` distinct members raise ResourceLimitError.
     """
     if isinstance(prop, str):
         prop = Property(prop)
@@ -142,32 +139,29 @@ def explore_family(seeds: list[Graph], prop: Property | str, depth: int,
 
     start = time.monotonic()
     members: dict[bytes, Graph] = {}
-    frontier: list[Graph] = []
-    for g in seeds:
-        key = canonical_key(g)
-        if key not in members:
-            members[key] = g
-            frontier.append(g)
+
+    def admit(graphs) -> list[Graph]:
+        fresh = []
+        for g in graphs:
+            key = canonical_key(g)
+            if key not in members:
+                members[key] = g
+                fresh.append(g)
+                if len(members) > SIEVE_MEMBER_CAP:
+                    raise ResourceLimitError(
+                        f"move closure exceeded {SIEVE_MEMBER_CAP} members"
+                    )
+        return fresh
+
+    frontier = admit(seeds)
     for _ in range(depth):
-        nxt: list[Graph] = []
-        for g in frontier:
-            for h in _expansions(g, moves):
-                key = canonical_key(h)
-                if key not in members:
-                    members[key] = h
-                    nxt.append(h)
-        frontier = nxt
+        frontier = admit(h for g in frontier for h in _expansions(g, moves))
         if not frontier:
             break
 
     ordered = sorted(members.items())
-    tasks = [(prop.value, g.order, tuple(sorted(g.edges)))
-             for _, g in ordered]
-    if jobs > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            verdicts = pool.map(_sieve_task, tasks, chunksize=1)
-    else:
-        verdicts = [_sieve_task(t) for t in tasks]
+    verdicts = parallel_map(partial(is_minor_minimal, prop=prop),
+                            [g for _, g in ordered], jobs)
     found = tuple(g for (_, g), ok in zip(ordered, verdicts) if ok)
     return SearchReport(
         prop=prop,

@@ -18,9 +18,12 @@ negations of NA, IA, IE and IC are closed under taking minors; NE and NC
 do not have that luxury, which is what the sieve in the minimality
 module exists for.
 
-Vertex and edge scans run in ascending label order, so every "find" and
-every witness is the least one, making results reproducible across runs
-and processes.
+Each property is one row of a rule table: an operation family, a
+quantifier and the planarity the graph itself must have.  One scan
+serves every row.  Candidates run in ascending order (vertices by label,
+edges and non-edges lexicographically), so every "find" and every
+witness is the least one, making results reproducible across runs and
+processes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import Edge, Graph, Rows, rows_add_edge, rows_contract_edge, \
-    rows_delete_edge, rows_delete_vertex
+    rows_delete_edge, rows_delete_vertex, rows_non_edges
 from .planarity import is_planar, is_planar_rows
 
 
@@ -61,7 +64,7 @@ class Witness:
 
 
 # ---------------------------------------------------------------------------
-# rows-level scans (shared with the sieves)
+# the rule table and its one scan
 # ---------------------------------------------------------------------------
 
 def _sorted_edges(rows: Rows) -> list[Edge]:
@@ -76,45 +79,61 @@ def _sorted_edges(rows: Rows) -> list[Edge]:
     return out
 
 
-def first_planar_vertex_deletion(rows: Rows) -> int | None:
-    for v in range(len(rows)):
-        if is_planar_rows(rows_delete_vertex(rows, v)):
-            return v
+def _vertices(rows: Rows) -> list[tuple[int]]:
+    return [(v,) for v in range(len(rows))]
+
+
+# operation families: (witness kind, candidates in scan order, operation)
+_VERTEX_DELETION = ("vertex", _vertices, rows_delete_vertex)
+_EDGE_DELETION = ("edge", _sorted_edges, rows_delete_edge)
+_CONTRACTION = ("edge", _sorted_edges, rows_contract_edge)
+_EDGE_ADDITION = ("vertex-pair", rows_non_edges, rows_add_edge)
+
+#: property -> (operation family, universal quantifier, required planarity
+#: of the graph itself or None); every property asks whether the results
+#: of its operation are nonplanar
+_RULES = {
+    Property.AN: (_EDGE_ADDITION, False, True),
+    Property.CAN: (_EDGE_ADDITION, True, True),
+    Property.NA: (_VERTEX_DELETION, True, False),
+    Property.NE: (_EDGE_DELETION, True, False),
+    Property.NC: (_CONTRACTION, True, False),
+    Property.IA: (_VERTEX_DELETION, False, None),
+    Property.IE: (_EDGE_DELETION, False, None),
+    Property.IC: (_CONTRACTION, False, None),
+}
+
+
+def _scan(rows: Rows, family, planar: bool) -> tuple[int, ...] | None:
+    """Least candidate of ``family`` whose result has the given planarity."""
+    _, candidates, apply = family
+    for c in candidates(rows):
+        if is_planar_rows(apply(rows, *c)) == planar:
+            return c
     return None
+
+
+def first_planar_vertex_deletion(rows: Rows) -> int | None:
+    hit = _scan(rows, _VERTEX_DELETION, True)
+    return None if hit is None else hit[0]
 
 
 def first_planar_edge_deletion(rows: Rows) -> Edge | None:
-    for u, v in _sorted_edges(rows):
-        if is_planar_rows(rows_delete_edge(rows, u, v)):
-            return (u, v)
-    return None
+    return _scan(rows, _EDGE_DELETION, True)
 
 
 def first_planar_contraction(rows: Rows) -> Edge | None:
-    for u, v in _sorted_edges(rows):
-        if is_planar_rows(rows_contract_edge(rows, u, v)):
-            return (u, v)
-    return None
+    return _scan(rows, _CONTRACTION, True)
 
 
 def is_ne_rows(rows: Rows) -> bool:
     """Nonplanar with no planarizing single edge deletion."""
-    if is_planar_rows(rows):
-        return False
-    return first_planar_edge_deletion(rows) is None
+    return not is_planar_rows(rows) and first_planar_edge_deletion(rows) is None
 
 
 def is_nc_rows(rows: Rows) -> bool:
     """Nonplanar with no planarizing single edge contraction."""
-    if is_planar_rows(rows):
-        return False
-    return first_planar_contraction(rows) is None
-
-
-def is_na_rows(rows: Rows) -> bool:
-    if is_planar_rows(rows):
-        return False
-    return first_planar_vertex_deletion(rows) is None
+    return not is_planar_rows(rows) and first_planar_contraction(rows) is None
 
 
 # ---------------------------------------------------------------------------
@@ -151,67 +170,19 @@ def check(g: Graph, prop: Property) -> bool:
 def check_with_witness(g: Graph, prop: Property) -> tuple[bool, Witness | None]:
     """Decide the property and return the deciding object when one exists.
 
-    A true existential returns its least witness; a false universal
-    returns its least counterexample; the other outcomes return None.
+    A true existential returns its least witness (a nonplanar result); a
+    false universal returns its least counterexample (a planar result);
+    the other outcomes return None.
     """
-    rows = g.rows()
-
-    if prop is Property.AN:
-        if not is_planar(g):
-            return False, None
-        for u, v in g.non_edges():
-            if not is_planar_rows(rows_add_edge(rows, u, v)):
-                return True, Witness("vertex-pair", (u, v))
+    rule = _RULES.get(prop)
+    if rule is None:
+        raise ValueError(f"unknown property {prop!r}")
+    family, universal, base_planar = rule
+    if base_planar is not None and is_planar(g) != base_planar:
         return False, None
-
-    if prop is Property.CAN:
-        if not is_planar(g) or g.is_complete():
-            return False, None
-        for u, v in g.non_edges():
-            if is_planar_rows(rows_add_edge(rows, u, v)):
-                return False, Witness("vertex-pair", (u, v))
-        return True, None
-
-    if prop is Property.NA:
-        if is_planar(g):
-            return False, None
-        v = first_planar_vertex_deletion(rows)
-        if v is None:
-            return True, None
-        return False, Witness("vertex", (v,))
-
-    if prop is Property.NE:
-        if is_planar(g):
-            return False, None
-        e = first_planar_edge_deletion(rows)
-        if e is None:
-            return True, None
-        return False, Witness("edge", e)
-
-    if prop is Property.NC:
-        if is_planar(g):
-            return False, None
-        e = first_planar_contraction(rows)
-        if e is None:
-            return True, None
-        return False, Witness("edge", e)
-
-    if prop is Property.IA:
-        for v in range(g.order):
-            if not is_planar_rows(rows_delete_vertex(rows, v)):
-                return True, Witness("vertex", (v,))
-        return False, None
-
-    if prop is Property.IE:
-        for u, v in g.sorted_edges():
-            if not is_planar_rows(rows_delete_edge(rows, u, v)):
-                return True, Witness("edge", (u, v))
-        return False, None
-
-    if prop is Property.IC:
-        for u, v in g.sorted_edges():
-            if not is_planar_rows(rows_contract_edge(rows, u, v)):
-                return True, Witness("edge", (u, v))
-        return False, None
-
-    raise ValueError(f"unknown property {prop!r}")
+    if prop is Property.CAN and g.is_complete():
+        return False, None  # the one universal whose range can be empty
+    hit = _scan(g.rows(), family, universal)
+    if hit is None:
+        return universal, None
+    return not universal, Witness(family[0], hit)

@@ -156,6 +156,11 @@ def test_verify_entries_good_entry():
     assert set(records[0]["claims"]) == {"nonplanar", "MM-NA", "MM-NC"}
 
 
+def test_verify_entries_independent_of_jobs():
+    entries = mm_catalog("IC")
+    assert verify_entries(entries, jobs=2) == verify_entries(entries, jobs=1)
+
+
 def test_full_verification_passes(report):
     assert report["ok"] is True
     assert report["failures"] == 0

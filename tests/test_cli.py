@@ -8,7 +8,9 @@ import pytest
 
 from minorsieve import Graph, build_named, emit_edge_list, emit_graph6, \
     mm_catalog
+from minorsieve import cli
 from minorsieve.cli import _TABLE_ROWS, _TABLE_SIZES, main
+from minorsieve.errors import CatalogError
 
 
 def write_graphs(path, graphs):
@@ -186,6 +188,29 @@ def test_expand_rejects_bad_moves(tmp_path, capsys):
     assert main(["expand", f, "--property", "NE", "--depth", "1",
                  "--moves", "zz"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_nonpositive_jobs_is_usage_error(capsys):
+    assert main(["search", "--order", "5", "--count-only",
+                 "--jobs", "0"]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_internal_consistency_error_exits_two(monkeypatch, capsys):
+    def broken(jobs=1):
+        raise CatalogError("embedded values disagree")
+
+    monkeypatch.setattr(cli, "verify_catalog", broken)
+    assert main(["verify-catalog"]) == 2
+    err = capsys.readouterr().err
+    assert err == "internal error: embedded values disagree\n"
+
+
+def test_expand_member_cap_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("minorsieve.moves.SIEVE_MEMBER_CAP", 2)
+    f = write_graphs(tmp_path / "seed.g6", [build_named("K6-e")])
+    assert main(["expand", f, "--property", "NE", "--depth", "3"]) == 2
+    assert "resource cap: move closure" in capsys.readouterr().err
 
 
 def test_stdin_input(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from minorsieve import Graph, Property, build_named, canonical_key, check, \
     explore_family, is_mmne, mm_catalog, ne_preserved_after_ty, \
     star_to_triangle, triangle_to_star, triangles
 from minorsieve.catalog import entry
+from minorsieve.errors import ResourceLimitError
 
 
 def test_triangles_of_known_graphs():
@@ -125,6 +126,20 @@ def test_explore_family_deduplicates_seeds():
                             "NE", depth=1)
     distinct = {canonical_key(h) for h in report.found}
     assert len(report.found) == len(distinct)
+
+
+def test_explore_family_independent_of_jobs():
+    seeds = [build_named("K6-e"), entry("K5-e:K5-e").graph]
+    serial = explore_family(seeds, "NE", depth=1, jobs=1)
+    pooled = explore_family(seeds, "NE", depth=1, jobs=2)
+    assert serial.scanned == pooled.scanned > 2
+    assert serial.found == pooled.found
+
+
+def test_explore_family_member_cap(monkeypatch):
+    monkeypatch.setattr("minorsieve.moves.SIEVE_MEMBER_CAP", 2)
+    with pytest.raises(ResourceLimitError, match="move closure"):
+        explore_family([build_named("K6-e")], "NE", depth=3)
 
 
 def test_glued_seeds_are_closed_at_depth_1():

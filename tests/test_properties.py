@@ -24,33 +24,54 @@ def nx_planar(g: Graph) -> bool:
     return nx.check_planarity(to_networkx(g), counterexample=False)[0]
 
 
-def naive(g: Graph, prop: Property) -> bool:
-    deletions = [g.delete_vertex(v) for v in range(g.order)]
-    edge_dels = [g.delete_edge(u, v) for u, v in g.sorted_edges()]
-    contractions = [g.contract_edge(u, v) for u, v in g.sorted_edges()]
+def naive_with_witness(g: Graph, prop: Property):
+    """(value, deciding object) straight from the definition.
+
+    The deciding object is ``(kind, value)`` for the least witness of a
+    true existential or the least counterexample of a false universal,
+    scanning vertices ascending and pairs lexicographically; None
+    otherwise.
+    """
+    deletions = [(("vertex", (v,)), g.delete_vertex(v))
+                 for v in range(g.order)]
+    edge_dels = [(("edge", e), g.delete_edge(*e)) for e in g.sorted_edges()]
+    contractions = [(("edge", e), g.contract_edge(*e))
+                    for e in g.sorted_edges()]
+    additions = [(("vertex-pair", e), g.add_edge(*e))
+                 for e in g.non_edges()]
+
+    def exists_nonplanar(results):
+        wit = next((w for w, h in results if not nx_planar(h)), None)
+        return wit is not None, wit
+
+    def all_nonplanar(results):
+        wit = next((w for w, h in results if nx_planar(h)), None)
+        return wit is None, wit
+
+    planar = nx_planar(g)
     if prop is Property.AN:
-        return nx_planar(g) and any(
-            not nx_planar(g.add_edge(u, v)) for u, v in g.non_edges()
-        )
+        return exists_nonplanar(additions) if planar else (False, None)
     if prop is Property.CAN:
-        return nx_planar(g) and not g.is_complete() and all(
-            not nx_planar(g.add_edge(u, v)) for u, v in g.non_edges()
-        )
+        if not planar or g.is_complete():
+            return False, None
+        return all_nonplanar(additions)
     if prop is Property.NA:
-        return not nx_planar(g) and all(not nx_planar(h) for h in deletions)
+        return (False, None) if planar else all_nonplanar(deletions)
     if prop is Property.NE:
-        return not nx_planar(g) and all(not nx_planar(h) for h in edge_dels)
+        return (False, None) if planar else all_nonplanar(edge_dels)
     if prop is Property.NC:
-        return not nx_planar(g) and all(
-            not nx_planar(h) for h in contractions
-        )
+        return (False, None) if planar else all_nonplanar(contractions)
     if prop is Property.IA:
-        return any(not nx_planar(h) for h in deletions)
+        return exists_nonplanar(deletions)
     if prop is Property.IE:
-        return any(not nx_planar(h) for h in edge_dels)
+        return exists_nonplanar(edge_dels)
     if prop is Property.IC:
-        return any(not nx_planar(h) for h in contractions)
+        return exists_nonplanar(contractions)
     raise AssertionError(prop)
+
+
+def naive(g: Graph, prop: Property) -> bool:
+    return naive_with_witness(g, prop)[0]
 
 
 def test_exhaustive_against_naive_oracle(reps_by_order):
@@ -58,6 +79,10 @@ def test_exhaustive_against_naive_oracle(reps_by_order):
         for g in reps:
             for prop in Property:
                 assert check(g, prop) == naive(g, prop), \
+                    (n, prop, g.sorted_edges())
+                value, wit = check_with_witness(g, prop)
+                got = (value, None if wit is None else (wit.kind, wit.value))
+                assert got == naive_with_witness(g, prop), \
                     (n, prop, g.sorted_edges())
 
 
