@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 a property/minimality/verification check came
 back false, 2 usage, parse or resource-cap errors and internal
 consistency errors (a bug, reported in one line).  ``--jobs`` must be at
-least 1 and is capped at the usable CPU count.  Graph files hold
+least 1 and is capped at the usable CPU count, which is what the JSON
+``jobs`` field reports.  Graph files hold
 one graph per line, graph6 or ``{(a,b),...}`` edge-list text, detected
 per line.  ``--json`` swaps the text output for one versioned JSON
 document; graph output lists are canonical and independent of --jobs.
@@ -34,6 +35,7 @@ from .generate import EnumFilter, SearchReport, count_graphs, \
 from .graphs import Graph
 from .minimality import is_minor_minimal, mmne_structure_violations
 from .moves import MOVE_NAMES, explore_family
+from .parallel import worker_count
 from .planarity import is_planar
 from .properties import Property, check_with_witness, find_apex_vertex
 
@@ -150,7 +152,7 @@ def _search_payload(report: SearchReport, jobs: int) -> dict:
                            for k, v in sorted(report.found_by_order().items())},
         "found": [graph_doc(g) for g in report.found],
         "wall_seconds": round(report.wall_time, 3),
-        "jobs": jobs,
+        "jobs": worker_count(jobs, jobs),  # the request, capped at the CPUs
     }
 
 

@@ -262,6 +262,7 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
         raise ResourceLimitError(
             f"enumeration capped at order {max_order}; asked for {filt.order}"
         )
+    worker_count(jobs, 1)  # rejects jobs < 1 here too, where no map runs
     if filt.order == 1:
         rows: Rows = (0,)
         return [(canonical_key_rows(rows), rows)] \

@@ -43,8 +43,16 @@ def rows_from_edges(order: int, edges: Iterable[Edge]) -> Rows:
 
 
 def edges_from_rows(rows: Rows) -> list[Edge]:
-    n = len(rows)
-    return [(u, v) for u in range(n) for v in bits(rows[u] >> (u + 1) << (u + 1))]
+    """Edges (u, v), u < v, in lexicographic order."""
+    out = []
+    for u in range(len(rows)):
+        r = rows[u] >> (u + 1)
+        base = u + 1
+        while r:
+            low = r & -r
+            out.append((u, base + low.bit_length() - 1))
+            r ^= low
+    return out
 
 
 def rows_non_edges(rows: Rows) -> list[Edge]:

@@ -32,8 +32,38 @@ proper minor does.  Three deciders cover the eight properties:
   nonplanarity.  It exists to gate the fast deciders in tests and to
   serve AN and CAN, which sit inside planarity and get no closure help.
 
-All walks deduplicate by canonical key and count distinct members
-against a cap; hitting the cap raises instead of truncating.
+All walks count distinct members against a cap; hitting the cap raises
+instead of truncating.
+
+The NE/NC walk recomputes no answer the walk already implies.  Three
+rules keep its members, their order and its stopping point exactly those
+of the plain walk that tests and labels every child:
+
+* Inherited planar answers.  Every member carries two edge sets, as
+  rows: the edges whose step (contraction for NE, deletion for NC)
+  planarizes it, and the edges whose scan operation (deletion for NE,
+  contraction for NC) does.  A child is a minor of its parent, and
+  applying an operation to the image of an edge gives a minor of the
+  result of applying it to the edge itself: the two operations commute,
+  and where a contraction merges two edges, removing the merged edge
+  removes both.  Planarity is closed under minors, so the image of each
+  set under the step that made the child, computed by the same
+  ``rows_delete_edge``/``rows_contract_edge`` call on the set's rows, is
+  a set of edges of the child that planarize it.  A known step skips its
+  child without a planarity test; a member whose inherited scan set is
+  nonempty is not NE/NC without one.  Otherwise the member runs the scan,
+  and the hit it returns joins its set.
+* No known re-tests.  A member has passed the nonplanarity filter, so
+  only the scan half of NE/NC is open for it.  The seeds g - e (NE) and
+  g / e (NC) are nonplanar because g itself is NE or NC, so they too go
+  straight to the scan.
+* Per-level deduplication.  Each step removes an edge (deletion) or a
+  vertex (contraction), so members of different levels differ in size or
+  order and are never isomorphic.  The canonical keys seen, and the exact
+  labeled children met, are therefore kept for one level only.  A
+  labeled child met before on its level was then either planar or a
+  repeat, so it is skipped before any planarity test or labeling; two
+  orders of the same steps often give the same labeled rows.
 """
 
 from __future__ import annotations
@@ -41,10 +71,11 @@ from __future__ import annotations
 from .canon import canonical_data, canonical_key, canonical_key_rows, \
     relabel_rows
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows, rows_contract_edge, rows_delete_edge, \
-    rows_delete_vertex
+from .graphs import Graph, Rows, edges_from_rows, rows_add_edge, \
+    rows_contract_edge, rows_delete_edge, rows_delete_vertex
 from .planarity import is_planar_rows
-from .properties import Property, UPWARD_CLOSED, _sorted_edges, check, \
+from .properties import Property, UPWARD_CLOSED, check, \
+    first_planar_contraction, first_planar_edge_deletion, \
     first_planar_vertex_deletion, is_nc_rows, is_ne_rows
 
 #: distinct members a sieve may visit before giving up loudly
@@ -73,7 +104,7 @@ def one_step_minor_rows(rows: Rows) -> list[Rows]:
     deduplicated by canonical key and sorted by it.
     """
     children = [rows_delete_vertex(rows, v) for v in range(len(rows))]
-    for u, v in _sorted_edges(rows):
+    for u, v in edges_from_rows(rows):
         children.append(rows_delete_edge(rows, u, v))
         children.append(rows_contract_edge(rows, u, v))
     out: dict[bytes, Rows] = {}
@@ -101,35 +132,63 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
     return not any(check(m, prop) for m in one_step_minors(g))
 
 
-def _closure_walk(rows: Rows, step, prop_rows, max_members: int,
+def _closure_walk(rows: Rows, step, scan, max_members: int,
                   label: str) -> bool:
-    """True iff some proper member of the walk satisfies prop_rows.
+    """True iff some proper member of the walk has no planarizing edge
+    under the scan's operation (the member is NE or NC).
 
-    ``step(cur, u, v)`` produces the child for edge (u, v).  Planar
+    ``step(cur, u, v)`` produces the child for edge (u, v); ``scan`` is
+    the first-planarizing-edge finder of the other operation.  Planar
     children are dropped without expansion: both walks move along minor
     operations, so everything below a planar member is planar and NE
-    and NC are out of reach there.
+    and NC are out of reach there.  Each member carries two edge sets as
+    rows, the edges its step and its scan operation are known to
+    planarize, and hands their images under its step to its children;
+    the module docstring gives the rules that make this sound.
     """
-    visited = {canonical_key_rows(rows)}
-    frontier = [rows]
+    empty = (0,) * len(rows)
+    frontier = [(rows, empty, empty)]
+    members = 1  # the root
     while frontier:
         grown = []
-        for cur in frontier:
-            for u, v in _sorted_edges(cur):
-                child = step(cur, u, v)
-                if is_planar_rows(child):
+        visited: set[bytes] = set()
+        seen: dict[Rows, bool] = {}  # this level's labeled children -> planar
+        for cur, planar_steps, planar_scans in frontier:
+            known = list(planar_steps)
+            made = []
+            for u, v in edges_from_rows(cur):
+                if known[u] >> v & 1:
                     continue
+                child = step(cur, u, v)
+                planar = seen.get(child)
+                met = planar is not None
+                if not met:
+                    planar = seen[child] = is_planar_rows(child)
+                if planar:
+                    known[u] |= 1 << v
+                    known[v] |= 1 << u
+                    continue
+                if met:
+                    continue  # labeled before on this level
                 key = canonical_key_rows(child)
                 if key in visited:
                     continue
                 visited.add(key)
-                if len(visited) > max_members:
+                members += 1
+                if members > max_members:
                     raise ResourceLimitError(
                         f"{label} sieve exceeded {max_members} members"
                     )
-                if prop_rows(child):
-                    return True
-                grown.append(child)
+                scans = step(planar_scans, u, v)
+                if not any(scans):
+                    hit = scan(child)
+                    if hit is None:
+                        return True
+                    scans = rows_add_edge(scans, *hit)
+                made.append((child, u, v, scans))
+            known = tuple(known)
+            grown.extend((child, step(known, u, v), scans)
+                         for child, u, v, scans in made)
         frontier = grown
     return False
 
@@ -141,11 +200,12 @@ def is_mmne(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
         return False
     if any(r == 0 for r in rows):
         return False  # dropping the isolated vertex leaves a proper NE minor
-    for u, v in _sorted_edges(rows):
-        if is_ne_rows(rows_delete_edge(rows, u, v)):
+    for u, v in edges_from_rows(rows):
+        # g - e is nonplanar because g is NE; only the scan is open
+        if first_planar_edge_deletion(rows_delete_edge(rows, u, v)) is None:
             return False
-    return not _closure_walk(rows, rows_contract_edge, is_ne_rows,
-                             max_members, "NE")
+    return not _closure_walk(rows, rows_contract_edge,
+                             first_planar_edge_deletion, max_members, "NE")
 
 
 def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
@@ -155,11 +215,12 @@ def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
         return False
     if any(r == 0 for r in rows):
         return False
-    for u, v in _sorted_edges(rows):
-        if is_nc_rows(rows_contract_edge(rows, u, v)):
+    for u, v in edges_from_rows(rows):
+        # g / e is nonplanar because g is NC; only the scan is open
+        if first_planar_contraction(rows_contract_edge(rows, u, v)) is None:
             return False
-    return not _closure_walk(rows, rows_delete_edge, is_nc_rows,
-                             max_members, "NC")
+    return not _closure_walk(rows, rows_delete_edge,
+                             first_planar_contraction, max_members, "NC")
 
 
 # ---------------------------------------------------------------------------

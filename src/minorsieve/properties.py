@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Edge, Graph, Rows, rows_add_edge, rows_contract_edge, \
-    rows_delete_edge, rows_delete_vertex, rows_non_edges
+from .graphs import Edge, Graph, Rows, edges_from_rows, rows_add_edge, \
+    rows_contract_edge, rows_delete_edge, rows_delete_vertex, rows_non_edges
 from .planarity import is_planar, is_planar_rows
 
 
@@ -67,26 +67,14 @@ class Witness:
 # the rule table and its one scan
 # ---------------------------------------------------------------------------
 
-def _sorted_edges(rows: Rows) -> list[Edge]:
-    out = []
-    for u in range(len(rows)):
-        r = rows[u] >> (u + 1)
-        base = u + 1
-        while r:
-            low = r & -r
-            out.append((u, base + low.bit_length() - 1))
-            r ^= low
-    return out
-
-
 def _vertices(rows: Rows) -> list[tuple[int]]:
     return [(v,) for v in range(len(rows))]
 
 
 # operation families: (witness kind, candidates in scan order, operation)
 _VERTEX_DELETION = ("vertex", _vertices, rows_delete_vertex)
-_EDGE_DELETION = ("edge", _sorted_edges, rows_delete_edge)
-_CONTRACTION = ("edge", _sorted_edges, rows_contract_edge)
+_EDGE_DELETION = ("edge", edges_from_rows, rows_delete_edge)
+_CONTRACTION = ("edge", edges_from_rows, rows_contract_edge)
 _EDGE_ADDITION = ("vertex-pair", rows_non_edges, rows_add_edge)
 
 #: property -> (operation family, universal quantifier, required planarity

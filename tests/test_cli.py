@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -194,6 +195,27 @@ def test_nonpositive_jobs_is_usage_error(capsys):
     assert main(["search", "--order", "5", "--count-only",
                  "--jobs", "0"]) == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_nonpositive_jobs_is_usage_error_at_order_one(capsys):
+    # order 1 is built without any map, so jobs is checked before it
+    assert main(["search", "--order", "1", "--count-only",
+                 "--jobs", "0"]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_json_jobs_reports_the_capped_worker_count(tmp_path, monkeypatch,
+                                                  capsys):
+    # one usable CPU: a request of 4 runs one worker, serially
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert main(["search", "--order", "1-5", "--property", "NE",
+                 "--jobs", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["jobs"] == 1
+    f = write_graphs(tmp_path / "seed.g6", [build_named("K6-e")])
+    assert main(["expand", f, "--property", "NE", "--depth", "1",
+                 "--jobs", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["jobs"] == 1
 
 
 def test_internal_consistency_error_exits_two(monkeypatch, capsys):
