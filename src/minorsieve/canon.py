@@ -34,40 +34,50 @@ LEAF_CAP = 250_000
 # refinement
 # ---------------------------------------------------------------------------
 
-def _refine(rows: Rows, cells: list[list[int]]) -> list[list[int]]:
+def _mask(cell: list[int]) -> int:
+    mask = 0
+    for v in cell:
+        mask |= 1 << v
+    return mask
+
+
+def _refine(rows: Rows, cells: list[list[int]],
+            uniform: set[int]) -> list[list[int]]:
     """Refine an ordered partition to equitability.
 
     Every cell is split by the count of neighbors in every cell until
-    stable.  Split pieces replace their cell in place, ordered by
+    stable.  Split pieces take their cell's place, ordered by
     decreasing count, so the resulting cell order depends only on
-    isomorphism-invariant data.
+    isomorphism-invariant data.  After any split the sweeps start over
+    from the first cell.
+
+    ``uniform`` holds vertex masks that every current cell is already
+    uniform against: all members of a cell have the same number of
+    neighbors in the mask.  A sweep with such a mask splits nothing, so
+    it is skipped.  Splits only cut cells into pieces, so a mask stays
+    uniform once it is; every finished sweep adds its mask.  The splits
+    made, and their order, are exactly those of sweeping with every cell.
     """
-    queue = list(range(len(cells)))
-    qi = 0
-    while qi < len(queue):
-        idx = queue[qi]
-        qi += 1
-        if idx >= len(cells):
+    idx = 0
+    while idx < len(cells):
+        splitter = _mask(cells[idx])
+        idx += 1
+        if splitter in uniform:
             continue
-        splitter = 0
-        for v in cells[idx]:
-            splitter |= 1 << v
-        ci = 0
-        while ci < len(cells):
-            cell = cells[ci]
+        refined: list[list[int]] = []
+        for cell in cells:
             if len(cell) > 1:
                 buckets: dict[int, list[int]] = {}
                 for v in cell:
                     buckets.setdefault((rows[v] & splitter).bit_count(), []).append(v)
                 if len(buckets) > 1:
-                    pieces = [buckets[k] for k in sorted(buckets, reverse=True)]
-                    cells[ci : ci + 1] = pieces
-                    # indices shifted; restart the queue over all cells.  At
-                    # these graph orders the simplicity beats bookkeeping.
-                    queue = list(range(len(cells)))
-                    qi = 0
-                    ci += len(pieces) - 1
-            ci += 1
+                    refined.extend(buckets[k] for k in sorted(buckets, reverse=True))
+                    continue
+            refined.append(cell)
+        uniform.add(splitter)
+        if len(refined) > len(cells):
+            cells = refined
+            idx = 0
     return cells
 
 
@@ -77,9 +87,7 @@ def _interchangeable(rows: Rows, cell: list[int]) -> bool:
     Holds when all cell vertices have the same neighbors outside the cell
     and the induced subgraph on the cell is complete or empty.
     """
-    mask = 0
-    for v in cell:
-        mask |= 1 << v
+    mask = _mask(cell)
     outside = rows[cell[0]] & ~mask
     inside = rows[cell[0]] & mask
     full = (inside == mask & ~(1 << cell[0]))
@@ -113,7 +121,7 @@ class _Search:
         self.leaves = 0
 
     def run(self) -> None:
-        cells = _refine(self.rows, [list(range(self.n))])
+        cells = _refine(self.rows, [list(range(self.n))], set())
         self._node(cells, [], [], True)
 
     def _node(self, cells: list[list[int]], perm: list[int], codes: list[int],
@@ -149,7 +157,11 @@ class _Search:
             fixed = cells[:lead] + [[v] for v in target] + cells[lead + 1 :]
             self._node(fixed, perm, codes, tied)
             return
-        # branch: individualize one representative per known orbit
+        # branch: individualize one representative per known orbit.  The
+        # partition here is equitable (refined, or refined and then an
+        # interchangeable cell fixed), so every child starts out uniform
+        # against each of its cells
+        swept = {_mask(c) for c in cells}
         seen_orbits = set()
         for v in target:
             rep = self._orbit_rep(v, perm)
@@ -157,10 +169,8 @@ class _Search:
                 continue
             seen_orbits.add(rep)
             rest = [u for u in target if u != v]
-            child = [c[:] for c in cells[:lead]] + [[v], rest] + [
-                c[:] for c in cells[lead + 1 :]
-            ]
-            child = _refine(rows, child)
+            child = _refine(rows, cells[:lead] + [[v], rest] + cells[lead + 1 :],
+                            set(swept))
             self._node(child, perm[:], codes[:], tied)
 
     def _leaf(self, perm: list[int], codes: list[int], tied: bool) -> None:

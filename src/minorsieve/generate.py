@@ -108,21 +108,37 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
     With a filter, subsets are restricted to those whose child meets
     the degree, connectivity and size constraints exactly; planarity is
     checked on the accepted child.  Returns (key, canonical rows) pairs.
+
+    Degree bound, tested before any labeling.  ``_accept`` keeps a child
+    only if its new vertex has the child's minimum degree (see there).
+    The new vertex attached to S has degree |S|.  With dmin the parent's
+    minimum degree and M the mask of its vertices of that degree, the
+    old vertices of the child have minimum degree dmin + 1 if S contains
+    M and dmin otherwise.  So |S| <= dmin + 1, and |S| = dmin + 1 only
+    when S contains M; every other subset would be labeled and then
+    rejected.  The test depends only on degrees, so it holds for all of
+    an automorphism orbit of subsets or for none of it, and skipping a
+    subset before its orbit is recorded drops no representative.  The
+    parent is labeled only after every early return.
     """
     n = len(parent)
-    parent_key, _, gens = canonical_data(parent)
+    degrees = [r.bit_count() for r in parent]
+    dmin = min(degrees)
+    low = 0
+    for v in range(n):
+        if degrees[v] == dmin:
+            low |= 1 << v
 
     required = 0
-    lo_bits, hi_bits = 0, n
+    lo_bits, hi_bits = 0, dmin + 1
     comp_masks: tuple[int, ...] = ()
     if filt is not None:
         d = filt.min_degree
         if d:
             for v in range(n):
-                dv = parent[v].bit_count()
-                if dv < d - 1:
+                if degrees[v] < d - 1:
                     return []  # one new edge cannot lift this vertex to d
-                if dv < d:
+                if degrees[v] < d:
                     required |= 1 << v
             lo_bits = max(lo_bits, d)
         if filt.connected:
@@ -133,8 +149,9 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
             lo_bits = max(lo_bits, filt.min_size - msize)
         if filt.max_size is not None:
             hi_bits = min(hi_bits, filt.max_size - msize)
-            if hi_bits < 0:
-                return []
+    if lo_bits > hi_bits:
+        return []
+    parent_key, _, gens = canonical_data(parent)
 
     out: list[tuple[bytes, Rows]] = []
     seen_children: set[bytes] = set()
@@ -145,6 +162,8 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
         bc = s.bit_count()
         if not lo_bits <= bc <= hi_bits:
             continue
+        if bc > dmin and s & low != low:
+            continue  # an old vertex keeps degree dmin < |S|
         if comp_masks and any(not s & cm for cm in comp_masks):
             continue
         if gens:
@@ -184,14 +203,39 @@ def _accept(child: Rows, new: int, parent: Rows,
             parent_key: bytes) -> tuple[bytes, Rows] | None:
     """Keep the child iff deleting its canonically last vertex gives
     back the parent class.  Fast paths: the last vertex is the new one;
-    a degree mismatch between the two (different child sizes after
-    deletion); the new vertex visibly in the last vertex's orbit."""
+    the new vertex visibly in the last vertex's orbit.
+
+    Pre-test, before any labeling.  ``_refine`` first splits the unit
+    partition by degree, then splits every cell by its number of
+    neighbors in the maximum-degree cell, both times in decreasing
+    order, and every later split or individualization is in place.  So
+    the canonically last vertex minimizes the pair (degree, neighbors of
+    maximum degree) over all vertices.  If some vertex has a smaller
+    pair than the new vertex, the last vertex is neither the new one nor
+    in its orbit, since automorphisms preserve the pair, and deleting it
+    cannot give back the parent:
+
+    * if the degrees differ, the two deletions leave different sizes;
+    * if both have the minimum degree, the graph is not regular, so
+      neither is in the set H of maximum-degree vertices, and deleting
+      x leaves |H| - |N(x) & H| vertices of degree max; the counts
+      differ, so the degree sequences do.
+
+    On a regular graph every pair is equal and nothing is rejected.
+    """
+    degrees = [r.bit_count() for r in child]
+    top = max(degrees)
+    hub = 0
+    for v, dv in enumerate(degrees):
+        if dv == top:
+            hub |= 1 << v
+    pairs = [(dv, (r & hub).bit_count()) for dv, r in zip(degrees, child)]
+    if min(pairs) < pairs[new]:
+        return None
     key, perm, gens = canonical_data(child)
     last = perm[-1]
     if last == new:
         return key, relabel_rows(child, perm)
-    if child[last].bit_count() != child[new].bit_count():
-        return None
     if gens:
         orbit = {new}
         stack = [new]
@@ -339,10 +383,11 @@ class SearchReport:
         return hist
 
 
-def _decide_chunk(args: tuple[str, list[Rows]]) -> list[Rows]:
-    prop_value, rows_list = args
+def _decide_chunk(args: tuple[str, list[tuple[bytes, Rows]]]
+                  ) -> list[tuple[bytes, Rows]]:
+    prop_value, pairs = args
     prop = Property(prop_value)
-    return [rows for rows in rows_list
+    return [(key, rows) for key, rows in pairs
             if is_minor_minimal(Graph.from_rows(rows), prop)]
 
 
@@ -370,12 +415,11 @@ def search_minor_minimal(prop: Property, orders: Iterable[int],
                           connected=connected, planarity=planarity)
         pairs = _final_pairs(filt, jobs, max_order)
         scanned += len(pairs)
-        rows_list = [rows for _, rows in pairs]
-        chunks = _chunked(rows_list, jobs)
+        chunks = _chunked(pairs, jobs)
         results = parallel_map(_decide_chunk,
                                [(prop.value, c) for c in chunks], jobs)
         for part in results:
-            hits.extend((canonical_key_rows(rows), rows) for rows in part)
+            hits.extend(part)
     hits.sort(key=lambda kr: kr[0])
     found = tuple(Graph.from_rows(rows) for _, rows in hits)
     return SearchReport(
