@@ -12,7 +12,8 @@ from .errors import CatalogError, EdgeListParseError, Graph6ParseError, \
     ResourceLimitError
 from .graphs import Graph, disjoint_union, one_vertex_union, two_vertex_union
 from .canon import canonical_graph, canonical_key, is_isomorphic
-from .planarity import find_k_subgraph, has_minor, is_planar
+from .planarity import is_planar
+from .oracles import find_k_subgraph, has_minor
 from .properties import Property, UPWARD_CLOSED, Witness, check, \
     check_with_witness, find_apex_edge, find_apex_vertex, \
     find_contraction_apex

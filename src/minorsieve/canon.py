@@ -214,38 +214,8 @@ class _Search:
 # public, rows-level
 # ---------------------------------------------------------------------------
 
-def canonical_perm(rows: Rows) -> tuple[int, ...]:
-    """Permutation as a tuple p with p[position] = original vertex."""
-    n = len(rows)
-    if n == 0:
-        return ()
-    if n == 1:
-        return (0,)
-    s = _Search(rows)
-    s.run()
-    return tuple(s.best_perm)
-
-
-def canonical_key_rows(rows: Rows) -> bytes:
-    n = len(rows)
-    if n > 255:
-        raise ResourceLimitError("canonical keys support order <= 255")
-    if n == 0:
-        return bytes([0])
-    if n == 1:
-        return bytes([1])
-    s = _Search(rows)
-    s.run()
-    return _pack(n, s.best_codes)
-
-
-def canonical_data(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
-    """(key, perm, discovered automorphism generators) in one search.
-
-    The generator list is not a full generating set of the automorphism
-    group in general; callers may only use it for sound positive tests
-    (an element listed in an orbit really is in that orbit).
-    """
+def _canonical(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
+    """One canonical search: (key, perm, discovered generators)."""
     n = len(rows)
     if n > 255:
         raise ResourceLimitError("canonical keys support order <= 255")
@@ -256,6 +226,28 @@ def canonical_data(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, 
     s = _Search(rows)
     s.run()
     return _pack(n, s.best_codes), tuple(s.best_perm), s.gens
+
+
+def canonical_perm(rows: Rows) -> tuple[int, ...]:
+    """Permutation as a tuple p with p[position] = original vertex.
+
+    Raises ResourceLimitError above order 255, like the key functions.
+    """
+    return _canonical(rows)[1]
+
+
+def canonical_key_rows(rows: Rows) -> bytes:
+    return _canonical(rows)[0]
+
+
+def canonical_data(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
+    """(key, perm, discovered automorphism generators) in one search.
+
+    The generator list is not a full generating set of the automorphism
+    group in general; callers may only use it for sound positive tests
+    (an element listed in an orbit really is in that orbit).
+    """
+    return _canonical(rows)
 
 
 def _pack(n: int, codes: list[int]) -> bytes:

@@ -28,8 +28,8 @@ a graph with a distinguished edge whose deletion/contraction behavior
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations
+from functools import cache, partial
+from itertools import combinations, product
 import time
 from typing import Callable, Iterable
 
@@ -37,8 +37,8 @@ from .canon import canonical_graph, canonical_key
 from .catalog_data import A1_EDGE_LISTS, A2_EDGE_LISTS
 from .errors import CatalogError, ResourceLimitError
 from .formats import parse_edge_list
-from .graphs import Edge, Graph, disjoint_union, one_vertex_union, \
-    two_vertex_union
+from .graphs import Edge, Graph, Rows, disjoint_union, one_vertex_union, \
+    rows_size
 from .minimality import is_minor_minimal, is_minor_minimal_upclosed
 from .parallel import parallel_map
 from .planarity import is_planar
@@ -122,105 +122,67 @@ def _kuratowski_parts() -> list[tuple[list[str], list[tuple[str, str]]]]:
 # minimality test; the survivor count is checked against the family
 # size, so a wrong recipe cannot ship quietly.
 
-def _abedge9_candidates() -> list[Graph]:
-    # Three cut vertices a, b, c pairwise forming two-cuts; ab is always
-    # an edge (inside its block), ac and bc vary.  A pair that is an
-    # edge takes K5 or the cross-pair K33; a non-edge pair takes the
-    # same-part K33.
-    out = []
-    for ac_edge in (False, True):
-        for bc_edge in (False, True):
-            ab_kinds = ("K5", "K33x")
-            ac_kinds = ("K5", "K33x") if ac_edge else ("K33s",)
-            bc_kinds = ("K5", "K33x") if bc_edge else ("K33s",)
-            for ka in ab_kinds:
-                for kb in ac_kinds:
-                    for kc in bc_kinds:
-                        out.append(_graph_from_labeled(
-                            _block_edges(ka, "a", "b", "p")
-                            + _block_edges(kb, "a", "c", "q")
-                            + _block_edges(kc, "b", "c", "r")
-                        ))
-    return out
+# family -> (block kinds per cut pair, join edges), vertices named by
+# letters; each choice of one kind per pair is a candidate.  abEdge9:
+# three cut vertices pairwise forming two-cuts; ab is always an edge
+# (inside its block), so it takes K5 or the cross-pair K33, while ac and
+# bc may also be the non-edge same-part K33.  bowtie3: two missing-edge
+# blocks joined through a center vertex c: in the middle component a
+# and b have degree two with c their only common neighbor, and c sees
+# all of a, b, d, e.  t222: two non-edge-pair blocks wired by all four
+# cross edges; the double-K33 placement is enumerated too and must be
+# rejected by the minimality filter (it has a disconnected proper minor
+# with the property).
+_ADJACENT = ("K5", "K33x")
+_MISSING = ("K5-e", "K33x-e")
+_PRODUCT_RECIPES: dict[str, tuple[dict[str, tuple[str, ...]], str]] = {
+    "abEdge9": ({"ab": _ADJACENT, "ac": _ADJACENT + ("K33s",),
+                 "bc": _ADJACENT + ("K33s",)}, ""),
+    "bowtie3": ({"ab": _MISSING, "de": _MISSING}, "ac bc cd ce ad be"),
+    "t222": ({"ab": _MISSING + ("K33s",), "cd": _MISSING + ("K33s",)},
+             "ac ad bc bd"),
+}
 
 
-def _bowtie3_candidates() -> list[Graph]:
-    # Two missing-edge blocks on {a,b} and {d,e} joined through a center
-    # vertex c: in the middle component a and b have degree two with c
-    # their only common neighbor, and c sees all of a, b, d, e.
-    joins = [("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"),
-             ("a", "d"), ("b", "e")]
-    out = []
-    for k1 in ("K5-e", "K33x-e"):
-        for k2 in ("K5-e", "K33x-e"):
-            out.append(_graph_from_labeled(
-                _block_edges(k1, "a", "b", "p")
-                + _block_edges(k2, "d", "e", "q")
-                + joins
-            ))
-    return out
+def _product_candidates(family: str) -> list[Graph]:
+    pairs, joins = _PRODUCT_RECIPES[family]
+    return [
+        _graph_from_labeled(
+            [e for i, (kind, (a, b)) in enumerate(zip(kinds, pairs))
+             for e in _block_edges(kind, a, b, "pqr"[i])]
+            + [tuple(join) for join in joins.split()]
+        )
+        for kinds in product(*pairs.values())
+    ]
 
 
-def _t220_candidates() -> list[Graph]:
+def _attached_candidates(shared: int) -> list[Graph]:
     # Missing-edge block on {a,b}; the other side of the cut is a whole
-    # Kuratowski graph to which a and b attach by two edges each, all
-    # four attachment vertices distinct.
+    # Kuratowski graph that a and b each reach by two edges, sharing
+    # ``shared`` of their attachment vertices.  Swapping a and b is an
+    # automorphism of both blocks, so each unordered pair of private
+    # attachment sets is taken once.
     out = []
-    for k1 in ("K5-e", "K33x-e"):
+    for kind in _MISSING:
         for vs, g_edges in _kuratowski_parts():
-            for pair_a in combinations(vs, 2):
-                rest = [w for w in vs if w not in pair_a]
-                for pair_b in combinations(rest, 2):
+            for common in combinations(vs, shared):
+                rest = [w for w in vs if w not in common]
+                for own_a, own_b in combinations(
+                        combinations(rest, 2 - shared), 2):
+                    if set(own_a) & set(own_b):
+                        continue
                     out.append(_graph_from_labeled(
-                        _block_edges(k1, "a", "b", "p") + g_edges
-                        + [("a", pair_a[0]), ("a", pair_a[1]),
-                           ("b", pair_b[0]), ("b", pair_b[1])]
+                        _block_edges(kind, "a", "b", "p") + g_edges
+                        + [("a", w) for w in common + own_a]
+                        + [("b", w) for w in common + own_b]
                     ))
-    return out
-
-
-def _t221_candidates() -> list[Graph]:
-    # As t220 but a and b share exactly one attachment vertex c, so
-    # together they reach three distinct vertices of the Kuratowski side.
-    out = []
-    for k1 in ("K5-e", "K33x-e"):
-        for vs, g_edges in _kuratowski_parts():
-            for c in vs:
-                others = [w for w in vs if w != c]
-                for x, y in combinations(others, 2):
-                    out.append(_graph_from_labeled(
-                        _block_edges(k1, "a", "b", "p") + g_edges
-                        + [("a", c), ("a", x), ("b", c), ("b", y)]
-                    ))
-    return out
-
-
-def _t222_candidates() -> list[Graph]:
-    # Two non-edge-pair blocks on {a,b} and {c,d} wired by all four
-    # cross edges; a and b both see exactly c and d.  The double-K33
-    # placement is enumerated too and must be rejected by the
-    # minimality filter (it has a disconnected proper minor with the
-    # property).
-    joins = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
-    kinds = ("K5-e", "K33x-e", "K33s")
-    out = []
-    for k1 in kinds:
-        for k2 in kinds:
-            out.append(_graph_from_labeled(
-                _block_edges(k1, "a", "b", "p")
-                + _block_edges(k2, "c", "d", "q")
-                + joins
-            ))
     return out
 
 
 _FAMILY_CANDIDATES: dict[str, Callable[[], list[Graph]]] = {
-    "abEdge9": _abedge9_candidates,
-    "bowtie3": _bowtie3_candidates,
-    "t220": _t220_candidates,
-    "t221": _t221_candidates,
-    "t222": _t222_candidates,
-}
+    name: partial(_product_candidates, name) for name in _PRODUCT_RECIPES}
+_FAMILY_CANDIDATES.update(t220=partial(_attached_candidates, 0),
+                          t221=partial(_attached_candidates, 1))
 
 _FAMILY_COUNTS = {"abEdge9": 9, "bowtie3": 3, "t220": 8, "t221": 8, "t222": 5}
 
@@ -276,11 +238,6 @@ def _k33_minus_e() -> Graph:
     return _k33().delete_edge(0, 3)
 
 
-def _k33_same_pair() -> Graph:
-    # plain K33; vertices 0 and 1 are the same-part nonadjacent pair
-    return _k33()
-
-
 def _k33_plus_e() -> Graph:
     return _k33().add_edge(0, 1)
 
@@ -318,18 +275,16 @@ def _rooks9() -> Graph:
     return Graph(9, edges)
 
 
-_GLUE_BLOCKS: dict[str, tuple[Callable[[], Graph], Edge]] = {
-    "K5-e": (_k5_minus_e, (0, 1)),
-    "K33-e": (_k33_minus_e, (0, 3)),
-    "K33": (_k33_same_pair, (0, 1)),
-}
+# the block kind of each ``:`` operand, glued at its nonadjacent pair
+_GLUE_KINDS = {"K5-e": "K5-e", "K33-e": "K33x-e", "K33": "K33s"}
 
 
 def _glued(kind1: str, kind2: str) -> Graph:
     """Two blocks sharing a nonadjacent vertex pair, no edge added."""
-    build1, pair1 = _GLUE_BLOCKS[kind1]
-    build2, pair2 = _GLUE_BLOCKS[kind2]
-    return two_vertex_union(build1(), pair1, build2(), pair2)
+    return _graph_from_labeled(
+        _block_edges(_GLUE_KINDS[kind1], "a", "b", "p")
+        + _block_edges(_GLUE_KINDS[kind2], "a", "b", "q")
+    )
 
 
 def _dot(g: Graph, h: Graph) -> Graph:
@@ -339,10 +294,10 @@ def _dot(g: Graph, h: Graph) -> Graph:
 def _triangled_k33() -> Graph:
     """K33 with every edge given its own triangle apex (order 15, size 27)."""
     g = _k33()
-    edges = list(g.edges)
+    edges = g.sorted_edges()
     apex = g.order
     out = list(edges)
-    for u, v in sorted(edges):
+    for u, v in edges:
         out.extend([(u, apex), (v, apex)])
         apex += 1
     return Graph(apex, out)
@@ -491,7 +446,7 @@ def _ne_witness() -> tuple[Graph, Edge]:
     Contracting that edge re-triangles the ninth edge, giving the fully
     triangled K33.
     """
-    k33_edges = sorted(_k33().edges)
+    k33_edges = _k33().sorted_edges()
     skip = (0, 3)
     edges: list[Edge] = []
     apex = 7  # 0..5 the K33, 6 the subdivision vertex
@@ -621,10 +576,10 @@ def check_claim(g: Graph, claim: str) -> bool:
     return check(g, Property(claim))
 
 
-def _claim_task(task: tuple[str, str, int, tuple[Edge, ...]]):
-    entry_id, claim, order, edges = task
+def _claim_task(task: tuple[str, str, Rows]):
+    entry_id, claim, rows = task
     try:
-        ok = check_claim(Graph(order, edges), claim)
+        ok = check_claim(Graph.from_rows(rows), claim)
         return entry_id, claim, ok, ""
     except ResourceLimitError as exc:
         return entry_id, claim, False, str(exc)
@@ -635,12 +590,13 @@ def verify_entries(entries: Iterable[CatalogEntry],
     """Re-derive every claim of every entry; one result dict per entry."""
     entries = list(entries)
     tasks = [
-        (e.id, claim, e.graph.order, tuple(sorted(e.graph.edges)))
+        (e.id, claim, e.graph.rows())
         for e in entries
         for claim in sorted(e.claims)
     ]
-    # heaviest first so parallel workers drain evenly
-    tasks.sort(key=lambda t: (not t[1].startswith("MM-"), -(t[2] + len(t[3]))))
+    # heaviest first (order plus size) so parallel workers drain evenly
+    tasks.sort(key=lambda t: (not t[1].startswith("MM-"),
+                              -(len(t[2]) + rows_size(t[2]))))
     raw = parallel_map(_claim_task, tasks, jobs)
     by_entry: dict[str, dict[str, dict]] = {}
     for entry_id, claim, ok, detail in raw:

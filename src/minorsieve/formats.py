@@ -65,14 +65,9 @@ def parse_edge_list(text: str) -> Graph:
     sc = _Scanner(text)
     sc.skip_ws()
     declared: int | None = None
-    mark = sc.pos
     if sc.peek().isdigit():
         declared = sc.integer()
         sc.expect(";")
-        if declared < 0:
-            raise EdgeListParseError(
-                f"declared order {declared} at position {mark} is negative"
-            )
     sc.expect("{")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -86,14 +81,11 @@ def parse_edge_list(text: str) -> Graph:
             vpos = sc.pos
             v = sc.integer()
             sc.expect(")")
-            if u < 1:
-                raise EdgeListParseError(
-                    f"label {u} at position {upos} is below 1"
-                )
-            if v < 1:
-                raise EdgeListParseError(
-                    f"label {v} at position {vpos} is below 1"
-                )
+            for label, pos in ((u, upos), (v, vpos)):
+                if label < 1:
+                    raise EdgeListParseError(
+                        f"label {label} at position {pos} is below 1"
+                    )
             if u == v:
                 raise EdgeListParseError(
                     f"loop ({u},{v}) at position {upos}"
@@ -131,8 +123,9 @@ def emit_edge_list(g: Graph) -> str:
 
     The ``n;`` prefix appears exactly when the edge list alone cannot
     reconstruct the order (isolated vertices, or the empty graph)."""
-    body = "{" + ",".join(f"({u + 1},{v + 1})" for u, v in sorted(g.edges)) + "}"
-    inferred = max((v for e in g.edges for v in e), default=-1) + 1
+    edges = g.sorted_edges()
+    body = "{" + ",".join(f"({u + 1},{v + 1})" for u, v in edges) + "}"
+    inferred = max((v for _, v in edges), default=-1) + 1
     if inferred != g.order:
         return f"{g.order};{body}"
     return body

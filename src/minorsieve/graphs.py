@@ -1,14 +1,14 @@
 """Immutable simple graphs and the minor operations on them.
 
-Vertices are the integers 0..order-1.  Edges are unordered pairs, stored
-normalized as (u, v) with u < v.  No loops, no parallel edges.
+Vertices are the integers 0..order-1.  Edges are unordered pairs,
+reported normalized as (u, v) with u < v.  No loops, no parallel edges.
 
-Two representations coexist:
-
-* ``Graph`` is the public value type (hashable, comparable, cached).
-* adjacency bitmask rows, a tuple of ints where bit w of row v is set iff
-  vw is an edge.  The search-heavy modules work on rows directly and only
-  wrap results back into ``Graph`` at API boundaries.
+One representation: adjacency bitmask rows, a tuple of ints where bit w
+of row v is set iff vw is an edge.  ``Graph`` is the public value type
+(hashable, comparable); it stores its rows and a cached canonical key,
+and derives ``order``, ``edges`` and ``size`` from the rows.  The
+search-heavy modules work on rows directly and only wrap results into
+``Graph`` at API boundaries.
 
 Contraction, deletion and the three unions keep labels contiguous: the
 result of an order-k operation is always a graph on 0..k-1.
@@ -159,38 +159,32 @@ def rows_connected(rows: Rows) -> bool:
 class Graph:
     """An immutable simple graph on vertices 0..order-1.
 
-    Equality and hashing are label-sensitive; use canonical keys from the
-    canon module for isomorphism-level identity.
+    The adjacency rows are its only state beside a cached canonical key;
+    ``order``, ``edges`` and ``size`` are derived from them.  Equality and hashing are label-sensitive; use
+    canonical keys from the canon module for isomorphism-level identity.
     """
 
-    __slots__ = ("order", "edges", "_rows", "_hash", "_canon", "_planar")
+    __slots__ = ("_rows", "_canon")
 
     def __init__(self, order: int, edges: Iterable[Edge] = ()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        norm = set()
+        rows = [0] * order
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < order and 0 <= v < order):
                 raise ValueError(f"edge ({u},{v}) out of range for order {order}")
-            norm.add((u, v) if u < v else (v, u))
-        self.order: int = order
-        self.edges: frozenset[Edge] = frozenset(norm)
-        self._rows: Rows | None = None
-        self._hash: int | None = None
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self._rows: Rows = tuple(rows)
         self._canon = None
-        self._planar: bool | None = None
 
     @classmethod
     def from_rows(cls, rows: Rows) -> "Graph":
         g = cls.__new__(cls)
-        g.order = len(rows)
-        g.edges = frozenset(edges_from_rows(rows))
         g._rows = tuple(rows)
-        g._hash = None
         g._canon = None
-        g._planar = None
         return g
 
     # -- construction helpers ------------------------------------------------
@@ -220,12 +214,18 @@ class Graph:
     # -- basic queries --------------------------------------------------------
 
     @property
+    def order(self) -> int:
+        return len(self._rows)
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(edges_from_rows(self._rows))
+
+    @property
     def size(self) -> int:
-        return len(self.edges)
+        return rows_size(self._rows)
 
     def rows(self) -> Rows:
-        if self._rows is None:
-            self._rows = rows_from_edges(self.order, self.edges)
         return self._rows
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -251,7 +251,7 @@ class Graph:
         return max(self.degrees(), default=0)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return edges_from_rows(self._rows)
 
     def non_edges(self) -> list[Edge]:
         """Nonadjacent unordered pairs, lexicographically sorted."""
@@ -292,7 +292,7 @@ class Graph:
             table = list(mapping)
         if sorted(table) != list(range(self.order)):
             raise ValueError("mapping is not a bijection on the vertex set")
-        return Graph(self.order, [(table[u], table[v]) for u, v in self.edges])
+        return _glue(Graph(0), self, table, self.order)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         keep = sorted(set(vertices))
@@ -358,12 +358,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.order == other.order and self.edges == other.edges
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.order, self.edges))
-        return self._hash
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, size={self.size})"
@@ -373,11 +371,22 @@ class Graph:
 # unions
 # ---------------------------------------------------------------------------
 
+def _glue(g: Graph, h: Graph, table: list[int], order: int) -> Graph:
+    """g's rows padded to ``order``, with h's edges added under the vertex
+    map ``table`` (h's vertex v becomes table[v])."""
+    out = list(g.rows()) + [0] * (order - g.order)
+    for v, r in enumerate(h.rows()):
+        mapped = 0
+        for w in bits(r):
+            mapped |= 1 << table[w]
+        out[table[v]] |= mapped
+    return Graph.from_rows(tuple(out))
+
+
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g and h side by side, h's labels shifted up by g.order."""
     k = g.order
-    edges = list(g.edges) + [(u + k, v + k) for u, v in h.edges]
-    return Graph(g.order + h.order, edges)
+    return _glue(g, h, [k + w for w in range(h.order)], k + h.order)
 
 
 def one_vertex_union(g: Graph, a: int, h: Graph, b: int) -> Graph:
@@ -385,14 +394,8 @@ def one_vertex_union(g: Graph, a: int, h: Graph, b: int) -> Graph:
     g._check_vertex(a)
     h._check_vertex(b)
     k = g.order
-
-    def shift(w: int) -> int:
-        if w == b:
-            return a
-        return k + w - (1 if w > b else 0)
-
-    edges = list(g.edges) + [(shift(u), shift(v)) for u, v in h.edges]
-    return Graph(g.order + h.order - 1, edges)
+    table = [a if w == b else k + w - (w > b) for w in range(h.order)]
+    return _glue(g, h, table, k + h.order - 1)
 
 
 def two_vertex_union(g: Graph, pair_g: Edge, h: Graph, pair_h: Edge) -> Graph:
@@ -406,20 +409,9 @@ def two_vertex_union(g: Graph, pair_g: Edge, h: Graph, pair_h: Edge) -> Graph:
     g._check_pair(a1, b1)
     h._check_pair(a2, b2)
     k = g.order
-    skip = sorted((a2, b2))
-
-    def shift(w: int) -> int:
-        if w == a2:
-            return a1
-        if w == b2:
-            return b1
-        return k + w - (1 if w > skip[0] else 0) - (1 if w > skip[1] else 0)
-
-    edges = set(g.edges)
-    for u, v in h.edges:
-        x, y = shift(u), shift(v)
-        edges.add((x, y) if x < y else (y, x))
-    return Graph(g.order + h.order - 2, edges)
+    table = [a1 if w == a2 else b1 if w == b2
+             else k + w - (w > a2) - (w > b2) for w in range(h.order)]
+    return _glue(g, h, table, k + h.order - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import time
 from .canon import canonical_key
 from .errors import ResourceLimitError
 from .generate import SearchReport
-from .graphs import Graph
+from .graphs import Graph, rows_delete_vertex
 from .minimality import SIEVE_MEMBER_CAP, is_minor_minimal
 from .parallel import parallel_map
 from .planarity import is_planar
@@ -64,10 +64,10 @@ def triangle_to_star(g: Graph, t: Triangle) -> Graph:
     size is unchanged.
     """
     a, b, c = _require_triangle(g, t)
-    v = g.order
-    edges = set(g.edges) - {tuple(sorted(p)) for p in ((a, b), (a, c), (b, c))}
-    edges |= {(a, v), (b, v), (c, v)}
-    return Graph(g.order + 1, edges)
+    corners = (1 << a) | (1 << b) | (1 << c)
+    rows = [(r & ~corners) | (1 << g.order) if (corners >> x) & 1 else r
+            for x, r in enumerate(g.rows())]
+    return Graph.from_rows(tuple(rows) + (corners,))
 
 
 def star_to_triangle(g: Graph, v: int) -> Graph:
@@ -83,11 +83,10 @@ def star_to_triangle(g: Graph, v: int) -> Graph:
         raise ValueError(
             f"vertex {v} has degree {len(nbrs)}, need exactly 3"
         )
-    h = g
-    for x, y in combinations(sorted(nbrs), 2):
-        if not h.has_edge(x, y):
-            h = h.add_edge(x, y)
-    return h.delete_vertex(v)
+    star = g.rows()[v]
+    rows = [r | (star & ~(1 << x)) if (star >> x) & 1 else r
+            for x, r in enumerate(g.rows())]
+    return Graph.from_rows(rows_delete_vertex(tuple(rows), v))
 
 
 def ne_preserved_after_ty(g: Graph, t: Triangle) -> bool:

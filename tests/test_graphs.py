@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from minorsieve import Graph, disjoint_union, one_vertex_union, \
     two_vertex_union
 from minorsieve.graphs import edges_from_rows, rows_from_edges
+
+from conftest import random_graph
 
 
 def test_complete_graph_counts():
@@ -178,3 +182,22 @@ def test_rows_roundtrip():
     assert g.rows() == rows
     assert edges_from_rows(rows) == g.sorted_edges()
     assert Graph.from_rows(rows).edges == g.edges
+
+
+def test_edge_and_row_constructions_agree():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 12))
+        edges = g.sorted_edges()
+        rng.shuffle(edges)
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        h = Graph.from_rows(rows_from_edges(g.order, edges))
+        assert Graph(g.order, flipped) == h
+        assert hash(Graph(g.order, flipped)) == hash(h)
+        assert h.edges == frozenset(edges_from_rows(h.rows()))
+        assert (h.order, h.size) == (g.order, len(edges))
+
+
+def test_equality_sees_isolated_vertices():
+    assert Graph(3, [(0, 1)]) != Graph(2, [(0, 1)])
+    assert Graph(3) != Graph(2)

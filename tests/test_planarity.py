@@ -8,12 +8,15 @@ which shares no code path with the embedding-based test.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minorsieve
 from minorsieve import Graph, find_k_subgraph, has_minor, is_planar
 
 from conftest import random_graph, to_networkx
@@ -133,3 +136,28 @@ def test_kuratowski_witness_random(reps7):
             _validate_witness(g, w)
             checked += 1
     assert checked > 30
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            names.update(f"{base}.{a.name}" if node.module else base + a.name
+                         for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_only_the_package_root_imports_the_oracles():
+    package = Path(minorsieve.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        uses = {name for name in _imported_modules(path)
+                if name.rsplit(".", 1)[-1] == "oracles"}
+        assert not uses, f"{path.name} imports {sorted(uses)}"
+    assert "oracles" in {name.lstrip(".") for name in
+                         _imported_modules(package / "__init__.py")}
