@@ -15,8 +15,10 @@ chain may pass through graphs violating any final filter), so filters
 prune subsets only at the last level, where their effect on the child
 is exact: attaching the new vertex to S adds |S| edges, raises exactly
 the degrees in S by one, and connects precisely the components S
-touches.  Planarity is not subset-expressible and is tested on accepted
-children.
+touches.  Planarity is not subset-expressible, but every child contains
+its parent as a subgraph, so a child of a nonplanar parent is nonplanar.
+The parent is tested once, at its first accepted child, and only the
+children of a planar parent are tested themselves.
 
 Work is partitionable by parent: children of distinct parents never
 collide, so shards merge by concatenation plus a defensive duplicate
@@ -107,7 +109,8 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
 
     With a filter, subsets are restricted to those whose child meets
     the degree, connectivity and size constraints exactly; planarity is
-    checked on the accepted child.  Returns (key, canonical rows) pairs.
+    decided on the accepted child, by the parent's answer when the parent
+    is nonplanar.  Returns (key, canonical rows) pairs.
 
     Degree bound, tested before any labeling.  ``_accept`` keeps a child
     only if its new vertex has the child's minimum degree (see there).
@@ -152,6 +155,9 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
     if lo_bits > hi_bits:
         return []
     parent_key, _, gens = canonical_data(parent)
+    want_planar = None if filt is None or filt.planarity == "all" \
+        else filt.planarity == "planar"
+    parent_planar = None  # tested once, at the first child that needs it
 
     out: list[tuple[bytes, Rows]] = []
     seen_children: set[bytes] = set()
@@ -192,8 +198,11 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
         if key in seen_children:
             continue
         seen_children.add(key)
-        if filt is not None and filt.planarity != "all":
-            if is_planar_rows(crows) != (filt.planarity == "planar"):
+        if want_planar is not None:
+            if parent_planar is None:
+                parent_planar = is_planar_rows(parent)
+            # a supergraph of a nonplanar parent is nonplanar
+            if (parent_planar and is_planar_rows(crows)) != want_planar:
                 continue
         out.append((key, crows))
     return out

@@ -24,7 +24,7 @@ proper minor does.  Three deciders cover the eight properties:
   deletion closure, using closure of "planar or has a planarizing
   contraction" under contraction.  The one case the normal form cannot
   reach, a minor obtained only by dropping an isolated vertex, is
-  handled up front: a graph with an isolated vertex is never minimal.
+  handled up front by the minimum-degree fact below.
 
 * ``is_minor_minimal_exhaustive`` is the slow oracle: the full closure
   under vertex deletion, edge deletion and edge contraction, with no
@@ -34,6 +34,28 @@ proper minor does.  Three deciders cover the eight properties:
 
 All walks count distinct members against a cap; hitting the cap raises
 instead of truncating.
+
+Two degree facts (``_degree_violations``) decide many graphs before any
+planarity test; ``mmne_structure_violations`` reports the same two.
+
+* Minimum degree two, for NE and NC.  Let v have degree at most one in
+  an NE (NC) graph g.  Deleting v keeps planarity either way, since v
+  lies on no cycle, so g - v is nonplanar.  For an edge e of g - v,
+  (g - v) - e = (g - e) - v and (g - v) / e = (g / e) - v, where v still
+  has degree at most one, so each is nonplanar as g - e (g / e) is.
+  Hence g - v is a proper NE (NC) minor and g is not minimal.
+* Adjacent neighbors at every degree-two vertex, for NE.  Let v have
+  degree two with nonadjacent neighbors x and y in an NE graph g.  The
+  contraction g / vx is g with v suppressed into a new edge xy, so it is
+  homeomorphic to g and nonplanar.  Deleting xy from it leaves g - v,
+  nonplanar because g - vx is and v is pendant there; deleting any other
+  edge e leaves g - e with v suppressed, homeomorphic to the nonplanar
+  g - e.  Hence g / vx is a proper NE minor.  The NC analogue fails
+  (catalog members A2.1-A2.11 are minor-minimal NC and have such
+  vertices), so NC gets the first fact only.
+
+The reference deciders of ``tests/test_closure_walk.py`` use neither
+fact, so they check both.
 
 The NE/NC walk recomputes no answer the walk already implies.  Three
 rules keep its members, their order and its stopping point exactly those
@@ -193,13 +215,28 @@ def _closure_walk(rows: Rows, step, scan, max_members: int,
     return False
 
 
+def _degree_violations(rows: Rows, ne: bool) -> list[str]:
+    """The degree facts every minor-minimal NE (``ne``) or NC graph meets:
+    minimum degree two, and for NE a neighbor edge at every degree-two
+    vertex.  The module docstring proves both."""
+    out = []
+    if min((r.bit_count() for r in rows), default=0) < 2:
+        out.append("minimum degree below 2")
+    if ne:
+        for v, r in enumerate(rows):
+            if r.bit_count() == 2:
+                low = r & -r
+                if not rows[low.bit_length() - 1] & (r ^ low):
+                    out.append(f"degree-2 vertex {v} with nonadjacent "
+                               f"neighbors")
+    return out
+
+
 def is_mmne(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
     """Minor-minimal NE: deletion seeds plus the contraction closure."""
     rows = g.rows()
-    if not is_ne_rows(rows):
+    if _degree_violations(rows, True) or not is_ne_rows(rows):
         return False
-    if any(r == 0 for r in rows):
-        return False  # dropping the isolated vertex leaves a proper NE minor
     for u, v in edges_from_rows(rows):
         # g - e is nonplanar because g is NE; only the scan is open
         if first_planar_edge_deletion(rows_delete_edge(rows, u, v)) is None:
@@ -211,9 +248,7 @@ def is_mmne(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
 def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
     """Minor-minimal NC: contraction seeds plus the deletion closure."""
     rows = g.rows()
-    if not is_nc_rows(rows):
-        return False
-    if any(r == 0 for r in rows):
+    if _degree_violations(rows, False) or not is_nc_rows(rows):
         return False
     for u, v in edges_from_rows(rows):
         # g / e is nonplanar because g is NC; only the scan is open
@@ -284,17 +319,10 @@ def mmne_structure_violations(g: Graph) -> list[str]:
     every degree-two vertex adjacent to each other; vertex connectivity
     at most five; and the graph either has an apex vertex or is itself
     minor-minimal NA.  Useful as a sweep over search output: a violation
-    means a bug somewhere, never a new graph.
+    means a bug somewhere, never a new graph.  ``is_mmne`` itself rejects
+    every graph that breaks one of the first two facts.
     """
-    out = []
-    if g.min_degree() < 2:
-        out.append("minimum degree below 2")
-    for v in range(g.order):
-        nbrs = g.neighbors(v)
-        if len(nbrs) == 2:
-            x, y = sorted(nbrs)
-            if not g.has_edge(x, y):
-                out.append(f"degree-2 vertex {v} with nonadjacent neighbors")
+    out = _degree_violations(g.rows(), True)
     if g.vertex_connectivity() > 5:
         out.append("vertex connectivity above 5")
     if first_planar_vertex_deletion(g.rows()) is None \

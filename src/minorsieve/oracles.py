@@ -1,7 +1,8 @@
 """Oracles that check the fast paths; only the package root imports them.
 
 * ``has_minor`` decides K5 / K3,3 minor containment by an exhaustive
-  memoized contraction walk.  It never consults the left-right test, so
+  memoized contraction walk whose base case is the planarity module's
+  K5 / K3,3 subgraph test.  It never consults the left-right test, so
   the two can check each other (and the tests make them).
 * ``find_k_subgraph`` extracts an explicit Kuratowski subdivision from a
   nonplanar graph by greedy edge-minimization, which costs more than the
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 from .canon import canonical_key_rows
 from .graphs import Graph, Rows, bits, rows_contract_edge, rows_delete_edge
-from .planarity import is_planar, is_planar_rows
+from .planarity import _has_clique5, _has_k33_subgraph, is_planar, \
+    is_planar_rows
 
 __all__ = ["has_minor", "find_k_subgraph", "KSubgraph"]
 
@@ -25,45 +27,6 @@ __all__ = ["has_minor", "find_k_subgraph", "KSubgraph"]
 
 _K5_MEMO: dict[bytes, bool] = {}
 _K33_MEMO: dict[bytes, bool] = {}
-
-
-def _has_clique5(rows: Rows) -> bool:
-    n = len(rows)
-
-    def extend(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if cand.bit_count() + 1 < need:
-                return False
-            if extend(cand & rows[v], need - 1):
-                return True
-        return False
-
-    return extend((1 << n) - 1, 5)
-
-
-def _has_k33_subgraph(rows: Rows) -> bool:
-    n = len(rows)
-    verts = [v for v in range(n) if rows[v].bit_count() >= 3]
-    k = len(verts)
-    for i in range(k):
-        a = verts[i]
-        for j in range(i + 1, k):
-            b = verts[j]
-            nab = rows[a] & rows[b]
-            if nab.bit_count() < 3:
-                continue
-            for t in range(j + 1, k):
-                c = verts[t]
-                common = nab & rows[c]
-                mask = ~((1 << a) | (1 << b) | (1 << c))
-                if (common & mask).bit_count() >= 3:
-                    return True
-    return False
 
 
 def _minor_walk(rows: Rows, memo: dict[bytes, bool], contains, min_order: int,

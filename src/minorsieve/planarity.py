@@ -1,36 +1,57 @@
-"""Planarity testing: the left-right test and its cache.
+"""Planarity testing: peel, subgraph certificates, the left-right test.
 
-``is_planar_rows`` is the boolean left-right test (Brandes' formulation
-of de Fraysseix-Rosenstiehl), run on adjacency bitmasks with iterative
-depth-first phases.  This is the call the searches hammer.  ``is_planar``
-answers for a ``Graph`` through an LRU cache keyed by its rows.  The
-independent checks of this test (the K5 / K3,3 minor walk and the
-Kuratowski witness) live in the oracles module.
+``is_planar_rows`` is the call the searches hammer.  It answers in four
+stages, each exact, and stops at the first that decides:
 
-The test short-circuits on edge counts: fewer than nine edges is
-always planar (a Kuratowski subdivision needs at least nine), more than
-3n-6 never is.
+1. Edge counts.  Fewer than nine edges is always planar (a Kuratowski
+   subdivision needs at least nine); more than 3n-6 never is.
+2. Peel.  Deleting a vertex of degree at most one, or suppressing a
+   vertex of degree two (replacing its path x-v-y by the edge xy, merged
+   into xy when that edge exists), keeps planarity in both directions:
+   the first removes a vertex that lies on no cycle, the second gives a
+   graph homeomorphic to the old one, and a parallel edge never changes
+   planarity.  Repeating both until every vertex has degree zero or at
+   least three, and dropping isolated vertices, leaves a smaller graph
+   with the same answer, to which the edge counts apply again.
+3. Certificate.  A K3,3 or K5 *subgraph* is a Kuratowski subgraph, so the
+   graph is nonplanar.  ``_has_k33_subgraph`` and ``_has_clique5`` look
+   for one with bitsets; a miss proves nothing and falls through.
+4. The boolean left-right test (Brandes' formulation of
+   de Fraysseix-Rosenstiehl), run on adjacency bitmasks with iterative
+   depth-first phases.
+
+``is_planar`` answers for a ``Graph`` through an LRU cache keyed by its
+rows.  The independent checks of this test (the K5 / K3,3 minor walk and
+the Kuratowski witness) live in the oracles module, which imports the two
+subgraph certificates from here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, Rows, bits
+from .graphs import Graph, Rows
 
 __all__ = ["is_planar", "is_planar_rows"]
 
 
-# ---------------------------------------------------------------------------
-# left-right planarity test
-# ---------------------------------------------------------------------------
-
 def is_planar_rows(rows: Rows) -> bool:
-    m = sum(r.bit_count() for r in rows) // 2
+    degrees = [r.bit_count() for r in rows]
+    m = sum(degrees) // 2
     if m <= 8:
         return True
     n = len(rows)
     if m > 3 * n - 6:
+        return False
+    if min(degrees) <= 2:
+        rows = _peel(rows, degrees)
+        n = len(rows)
+        m = sum(r.bit_count() for r in rows) // 2
+        if m <= 8:
+            return True
+        if m > 3 * n - 6:
+            return False
+    if _has_k33_subgraph(rows) or _has_clique5(rows):
         return False
     return _lr_planar(n, rows, m)
 
@@ -44,9 +65,107 @@ def _is_planar_cached(rows: Rows) -> bool:
     return is_planar_rows(rows)
 
 
+# ---------------------------------------------------------------------------
+# peel and subgraph certificates
+# ---------------------------------------------------------------------------
+
+def _peel(rows: Rows, degrees: list[int]) -> Rows:
+    """Rows of the graph with every vertex of degree at most two peeled
+    off (see the module docstring), isolated vertices dropped."""
+    rows = list(rows)
+    stack = [v for v, d in enumerate(degrees) if d <= 2]
+    while stack:
+        v = stack.pop()
+        r = rows[v]
+        d = r.bit_count()
+        if d == 0 or d > 2:
+            continue
+        rows[v] = 0
+        low = r & -r
+        x = low.bit_length() - 1
+        rows[x] ^= 1 << v
+        if d == 1:
+            stack.append(x)
+            continue
+        y = (r ^ low).bit_length() - 1
+        rows[y] ^= 1 << v
+        if rows[x] >> y & 1:
+            stack.append(x)  # xy merges into the existing edge
+            stack.append(y)
+        else:
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+    keep = [v for v, r in enumerate(rows) if r]
+    position = [0] * len(rows)
+    for i, v in enumerate(keep):
+        position[v] = i
+    out = []
+    for v in keep:
+        r = rows[v]
+        c = 0
+        while r:
+            low = r & -r
+            c |= 1 << position[low.bit_length() - 1]
+            r ^= low
+        out.append(c)
+    return tuple(out)
+
+
+def _has_clique5(rows: Rows) -> bool:
+    cand = 0  # a K5 vertex has degree at least four
+    for v, r in enumerate(rows):
+        if r.bit_count() >= 4:
+            cand |= 1 << v
+
+    def extend(cand: int, need: int) -> bool:
+        if need == 0:
+            return True
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            if cand.bit_count() + 1 < need:
+                return False
+            if extend(cand & rows[v], need - 1):
+                return True
+        return False
+
+    return cand.bit_count() >= 5 and extend(cand, 5)
+
+
+def _has_k33_subgraph(rows: Rows) -> bool:
+    """Three vertices with three common neighbors; a common neighbor is
+    never one of the three, since no vertex is its own neighbor."""
+    n = len(rows)
+    verts = [v for v in range(n) if rows[v].bit_count() >= 3]
+    k = len(verts)
+    for i in range(k):
+        a = verts[i]
+        for j in range(i + 1, k):
+            b = verts[j]
+            nab = rows[a] & rows[b]
+            if nab.bit_count() < 3:
+                continue
+            for t in range(j + 1, k):
+                if (nab & rows[verts[t]]).bit_count() >= 3:
+                    return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# left-right planarity test
+# ---------------------------------------------------------------------------
+
 def _lr_planar(n: int, rows: Rows, m: int) -> bool:
     """Left-right test proper; call through is_planar_rows for the shortcuts."""
-    adj = [list(bits(rows[v])) for v in range(n)]
+    adj = []
+    for r in rows:
+        nbrs = []
+        while r:
+            low = r & -r
+            nbrs.append(low.bit_length() - 1)
+            r ^= low
+        adj.append(nbrs)
 
     # -- phase 1: DFS orientation, lowpoints, nesting depth ------------------
     height = [-1] * n
@@ -61,20 +180,6 @@ def _lr_planar(n: int, rows: Rows, m: int) -> bool:
     out_edges: list[list[int]] = [[] for _ in range(n)]
     oriented = [0] * n  # bit w of oriented[v]: edge vw already has a direction
 
-    def after_edge(v: int, ei: int) -> None:
-        # nesting order key, then fold ei's lowpoints into the parent edge
-        nesting[ei] = 2 * lowpt[ei] + (1 if lowpt2[ei] < height[v] else 0)
-        e = parent_edge[v]
-        if e == -1:
-            return
-        if lowpt[ei] < lowpt[e]:
-            lowpt2[e] = min(lowpt[e], lowpt2[ei])
-            lowpt[e] = lowpt[ei]
-        elif lowpt[ei] > lowpt[e]:
-            lowpt2[e] = min(lowpt2[e], lowpt[ei])
-        else:
-            lowpt2[e] = min(lowpt2[e], lowpt2[ei])
-
     for root in range(n):
         if height[root] != -1:
             continue
@@ -84,10 +189,21 @@ def _lr_planar(n: int, rows: Rows, m: int) -> bool:
         while stack:
             frame = stack[-1]
             v = frame[0]
-            if frame[2] != -1:
-                # a tree edge's subtree just finished
-                after_edge(v, frame[2])
+            ei = frame[2]
+            if ei != -1:
+                # edge ei (a finished tree edge or a new back edge) is done:
+                # its nesting key, then its lowpoints fold into the parent edge
                 frame[2] = -1
+                nesting[ei] = 2 * lowpt[ei] + (lowpt2[ei] < height[v])
+                e = parent_edge[v]
+                if e != -1:
+                    if lowpt[ei] < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                        lowpt[e] = lowpt[ei]
+                    elif lowpt[ei] > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lowpt[ei])
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[ei])
             if frame[1] < len(adj[v]):
                 w = adj[v][frame[1]]
                 frame[1] += 1
@@ -102,14 +218,13 @@ def _lr_planar(n: int, rows: Rows, m: int) -> bool:
                 lowpt2.append(height[v])
                 nesting.append(0)
                 out_edges[v].append(ei)
+                frame[2] = ei
                 if height[w] == -1:
                     parent_edge[w] = ei
                     height[w] = height[v] + 1
-                    frame[2] = ei
                     stack.append([w, 0, -1])
                 else:
                     lowpt[ei] = height[w]
-                    after_edge(v, ei)
             else:
                 stack.pop()
 
@@ -120,88 +235,6 @@ def _lr_planar(n: int, rows: Rows, m: int) -> bool:
     stack_bottom = [0] * m
     lowpt_edge = [-1] * m
     ref = [-1] * m
-    side = [1] * m
-
-    def conflicting(lo: int, hi: int, b: int) -> bool:
-        return hi != -1 and lowpt[hi] > lowpt[b]
-
-    def lowest(pair: list[int]) -> int:
-        if pair[0] == -1 and pair[1] == -1:
-            return lowpt[pair[2]]
-        if pair[2] == -1 and pair[3] == -1:
-            return lowpt[pair[0]]
-        return min(lowpt[pair[0]], lowpt[pair[2]])
-
-    def add_constraints(ei: int, e: int) -> bool:
-        P = [-1, -1, -1, -1]
-        # merge the return edges of ei into P's right interval
-        while True:
-            Q = S.pop()
-            if Q[0] != -1 or Q[1] != -1:
-                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
-            if Q[0] != -1 or Q[1] != -1:
-                return False  # two-sided constraint cannot be merged
-            if lowpt[Q[2]] > lowpt[e]:
-                if P[2] == -1 and P[3] == -1:
-                    P[3] = Q[3]
-                else:
-                    ref[P[2]] = Q[3]
-                P[2] = Q[2]
-            else:
-                # aligned with the parent's lowpoint edge
-                ref[Q[2]] = lowpt_edge[e]
-            if len(S) == stack_bottom[ei]:
-                break
-        # merge conflicting return edges of the earlier siblings into P's left
-        while S and (conflicting(S[-1][0], S[-1][1], ei)
-                     or conflicting(S[-1][2], S[-1][3], ei)):
-            Q = S.pop()
-            if conflicting(Q[2], Q[3], ei):
-                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
-            if conflicting(Q[2], Q[3], ei):
-                return False
-            if P[2] != -1:
-                ref[P[2]] = Q[3]
-            if Q[2] != -1:
-                P[2] = Q[2]
-            if P[0] == -1 and P[1] == -1:
-                P[1] = Q[1]
-            elif P[0] != -1:
-                ref[P[0]] = Q[1]
-            P[0] = Q[0]
-        if P != [-1, -1, -1, -1]:
-            S.append(P)
-        return True
-
-    def remove_back_edges(e: int) -> None:
-        u = src[e]
-        # drop conflict pairs whose returns all end at u
-        while S and lowest(S[-1]) == height[u]:
-            P = S.pop()
-            if P[0] != -1:
-                side[P[0]] = -1
-        if S:
-            P = S.pop()
-            while P[1] != -1 and dst[P[1]] == u:
-                P[1] = ref[P[1]]
-            if P[1] == -1 and P[0] != -1:
-                ref[P[0]] = P[2]
-                side[P[0]] = -1
-                P[0] = -1
-            while P[3] != -1 and dst[P[3]] == u:
-                P[3] = ref[P[3]]
-            if P[3] == -1 and P[2] != -1:
-                ref[P[2]] = P[0]
-                side[P[2]] = -1
-                P[2] = -1
-            S.append(P)
-        if lowpt[e] < height[u] and S:
-            hl = S[-1][1]
-            hr = S[-1][3]
-            if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
-                ref[e] = hl
-            else:
-                ref[e] = hr
 
     for root in roots:
         stack = [[root, 0, -1]]
@@ -209,15 +242,58 @@ def _lr_planar(n: int, rows: Rows, m: int) -> bool:
             frame = stack[-1]
             v = frame[0]
             e = parent_edge[v]
-            if frame[2] != -1:
+            ei = frame[2]
+            if ei != -1:
                 # integrate the edge just finished (tree child or back edge)
-                ei = frame[2]
                 frame[2] = -1
-                if lowpt[ei] < height[v]:
-                    if frame[1] - 1 == 0:
+                low_ei = lowpt[ei]
+                if low_ei < height[v]:
+                    if frame[1] == 1:
                         lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
-                        return False
+                    else:
+                        # add the constraints of ei to those of its siblings
+                        P = [-1, -1, -1, -1]
+                        # merge the return edges of ei into P's right interval
+                        while True:
+                            Q = S.pop()
+                            if Q[0] != -1 or Q[1] != -1:
+                                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                            if Q[0] != -1 or Q[1] != -1:
+                                return False  # two-sided: cannot be merged
+                            if lowpt[Q[2]] > lowpt[e]:
+                                if P[2] == -1 and P[3] == -1:
+                                    P[3] = Q[3]
+                                else:
+                                    ref[P[2]] = Q[3]
+                                P[2] = Q[2]
+                            else:
+                                # aligned with the parent's lowpoint edge
+                                ref[Q[2]] = lowpt_edge[e]
+                            if len(S) == stack_bottom[ei]:
+                                break
+                        # merge conflicting return edges of the earlier
+                        # siblings into P's left interval
+                        while S:
+                            Q = S[-1]
+                            if not ((Q[1] != -1 and lowpt[Q[1]] > low_ei)
+                                    or (Q[3] != -1 and lowpt[Q[3]] > low_ei)):
+                                break
+                            S.pop()
+                            if Q[3] != -1 and lowpt[Q[3]] > low_ei:
+                                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                                if Q[3] != -1 and lowpt[Q[3]] > low_ei:
+                                    return False
+                            if P[2] != -1:
+                                ref[P[2]] = Q[3]
+                            if Q[2] != -1:
+                                P[2] = Q[2]
+                            if P[0] == -1 and P[1] == -1:
+                                P[1] = Q[1]
+                            elif P[0] != -1:
+                                ref[P[0]] = Q[1]
+                            P[0] = Q[0]
+                        if P != [-1, -1, -1, -1]:
+                            S.append(P)
             if frame[1] < len(ordered[v]):
                 ei = ordered[v][frame[1]]
                 frame[1] += 1
@@ -229,8 +305,42 @@ def _lr_planar(n: int, rows: Rows, m: int) -> bool:
                 else:
                     lowpt_edge[ei] = ei
                     S.append([-1, -1, ei, ei])
-            else:
-                if e != -1:
-                    remove_back_edges(e)
-                stack.pop()
+                continue
+            stack.pop()
+            if e == -1:
+                continue
+            # remove the back edges that return to the parent u of v
+            u = src[e]
+            hu = height[u]
+            # drop conflict pairs whose returns all end at u
+            while S:
+                P = S[-1]
+                if P[0] == -1 and P[1] == -1:
+                    low = lowpt[P[2]]
+                elif P[2] == -1 and P[3] == -1:
+                    low = lowpt[P[0]]
+                else:
+                    low = min(lowpt[P[0]], lowpt[P[2]])
+                if low != hu:
+                    break
+                S.pop()
+            if S:
+                P = S[-1]
+                while P[1] != -1 and dst[P[1]] == u:
+                    P[1] = ref[P[1]]
+                if P[1] == -1 and P[0] != -1:
+                    ref[P[0]] = P[2]
+                    P[0] = -1
+                while P[3] != -1 and dst[P[3]] == u:
+                    P[3] = ref[P[3]]
+                if P[3] == -1 and P[2] != -1:
+                    ref[P[2]] = P[0]
+                    P[2] = -1
+                if lowpt[e] < hu:
+                    hl = P[1]
+                    hr = P[3]
+                    if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
+                        ref[e] = hl
+                    else:
+                        ref[e] = hr
     return True

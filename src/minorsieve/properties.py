@@ -93,11 +93,22 @@ _RULES = {
 
 
 def _scan(rows: Rows, family, planar: bool) -> tuple[int, ...] | None:
-    """Least candidate of ``family`` whose result has the given planarity."""
+    """Least candidate of ``family`` whose result has the given planarity.
+
+    A candidate whose result rows equal an earlier candidate's is skipped
+    untested: that result already had the other planarity, or the scan
+    would have stopped there.  Different contractions, or deletions of
+    different vertices, can give the same labeled rows.
+    """
     _, candidates, apply = family
+    seen = set()
     for c in candidates(rows):
-        if is_planar_rows(apply(rows, *c)) == planar:
+        result = apply(rows, *c)
+        if result in seen:
+            continue
+        if is_planar_rows(result) == planar:
             return c
+        seen.add(result)
     return None
 
 
@@ -115,13 +126,23 @@ def first_planar_contraction(rows: Rows) -> Edge | None:
 
 
 def is_ne_rows(rows: Rows) -> bool:
-    """Nonplanar with no planarizing single edge deletion."""
-    return not is_planar_rows(rows) and first_planar_edge_deletion(rows) is None
+    """Nonplanar with no planarizing single edge deletion.
+
+    The nonplanarity conjunct needs no test of its own.  A graph with an
+    edge e is a supergraph of g - e, so if every g - e is nonplanar, so is
+    g; an edgeless graph is planar.
+    """
+    return any(rows) and first_planar_edge_deletion(rows) is None
 
 
 def is_nc_rows(rows: Rows) -> bool:
-    """Nonplanar with no planarizing single edge contraction."""
-    return not is_planar_rows(rows) and first_planar_contraction(rows) is None
+    """Nonplanar with no planarizing single edge contraction.
+
+    As for ``is_ne_rows``: g / e is a minor of g, and planarity is closed
+    under minors, so a graph whose every contraction is nonplanar is
+    itself nonplanar once it has an edge to contract.
+    """
+    return any(rows) and first_planar_contraction(rows) is None
 
 
 # ---------------------------------------------------------------------------

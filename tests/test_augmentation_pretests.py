@@ -138,6 +138,17 @@ def test_unfiltered_parents_through_order_6():
                 reference_expand(parent, None), (n, parent)
 
 
+def test_planarity_filtered_parents_through_order_6():
+    """The parent's planarity decides every child of a nonplanar parent;
+    the reference tests each child itself."""
+    for n in range(1, 7):
+        for planarity in ("planar", "nonplanar"):
+            filt = EnumFilter(order=n + 1, planarity=planarity)
+            for parent in universe_level(n):
+                assert _expand_parent(parent, filt) == \
+                    reference_expand(parent, filt), (n, planarity, parent)
+
+
 def test_filtered_order_7_parents():
     filt = EnumFilter(order=8, min_degree=4, connected=True,
                       planarity="nonplanar")

@@ -4,7 +4,9 @@ The reference below re-runs every planarity test, every NE/NC check and
 every canonical labeling the walk meets, with one visited set for the
 whole walk.  The fast walk in ``minimality`` inherits planar answers
 from parent to child and deduplicates per level; both must visit the
-same members in the same order and stop at the same one.
+same members in the same order and stop at the same one.  The reference
+deciders use neither degree fact of ``minimality._degree_violations``,
+so they are the independent check of both.
 """
 
 from __future__ import annotations
@@ -181,6 +183,41 @@ def test_agrees_with_reference_on_random_order_8(monkeypatch):
     for g in graphs[:12]:
         for label in WALKS:
             assert_same_walk(monkeypatch, g.rows(), label)
+
+
+def test_agrees_with_reference_on_small_nonplanar_classes(reps_by_order,
+                                                         reps7):
+    pools = list(reps_by_order.values()) + [reps7]
+    graphs = [g for reps in pools for g in reps if not is_planar(g)]
+    assert len(graphs) == 1 + 14 + 222
+    for g in graphs:
+        _agree(g)
+
+
+def _pendant_or_subdivided(count: int) -> list[Graph]:
+    """Seeded nonplanar graphs of order 7 or 8 with a pendant vertex
+    added, or one edge subdivided: the cases the degree facts reject."""
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < count:
+        g = random_graph(rng, rng.randint(7, 8), rng.uniform(0.35, 0.75))
+        if is_planar(g):
+            continue
+        rows = g.rows()
+        if rng.random() < 0.5:
+            n = len(rows)
+            u = rng.randrange(n)
+            rows = tuple(r | (1 << n) if v == u else r
+                         for v, r in enumerate(rows)) + (1 << u,)
+        else:
+            rows = rows_subdivide_edge(rows, *rng.choice(edges_from_rows(rows)))
+        out.append(Graph.from_rows(rows))
+    return out
+
+
+def test_agrees_with_reference_on_pendant_and_subdivided():
+    for g in _pendant_or_subdivided(300):
+        _agree(g)
 
 
 # ---------------------------------------------------------------------------

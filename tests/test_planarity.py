@@ -1,9 +1,13 @@
-"""Planarity decisions against two independent oracles.
+"""Planarity decisions against independent oracles.
 
-The left-right test is cross-checked two ways: against the published
-planarity check in networkx on random and exhaustive pools, and against
-the Kuratowski-minor oracle (planar iff neither a K5 nor a K3,3 minor),
-which shares no code path with the embedding-based test.
+The left-right test is cross-checked against the published planarity
+check in networkx on random and exhaustive pools, against the
+Kuratowski-minor oracle (planar iff neither a K5 nor a K3,3 minor),
+which shares no code with the left-right test, and against the kernel
+as it stood before the peel and the subgraph certificates
+(``reference_planarity``).  The oracle and ``is_planar_rows`` share the
+two subgraph certificates, which are checked against networkx subgraph
+monomorphism.
 """
 
 from __future__ import annotations
@@ -13,12 +17,20 @@ from pathlib import Path
 import random
 
 import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import minorsieve
 from minorsieve import Graph, find_k_subgraph, has_minor, is_planar
+from minorsieve.canon import relabel_rows
+from minorsieve.generate import universe_level
+from minorsieve.graphs import Rows, edges_from_rows, rows_add_edge, \
+    rows_subdivide_edge
+from minorsieve.planarity import _has_clique5, _has_k33_subgraph, \
+    _lr_planar, is_planar_rows
 
+import reference_planarity
 from conftest import random_graph, to_networkx
 
 K5 = Graph.complete(5)
@@ -81,6 +93,114 @@ def test_random_agreement_with_networkx(data):
     seed = data.draw(st.integers(min_value=0, max_value=10**9))
     g = random_graph(random.Random(seed), n)
     assert is_planar(g) == nx_planar(g)
+
+
+def _nx_planar_rows(rows: Rows) -> bool:
+    return nx_planar(Graph.from_rows(rows))
+
+
+def test_order_8_agreement_with_networkx():
+    level = universe_level(8)
+    assert len(level) == 12346
+    for rows in level:
+        assert is_planar_rows(rows) == _nx_planar_rows(rows), rows
+
+
+def _add_vertex(rows: Rows, nbrs) -> Rows:
+    n = len(rows)
+    out = list(rows)
+    mask = 0
+    for u in nbrs:
+        out[u] |= 1 << n
+        mask |= 1 << u
+    out.append(mask)
+    return tuple(out)
+
+
+def _peel_graph(rng: random.Random) -> Rows:
+    """A graph of order 9-16 that the peel reduces: a Kuratowski graph,
+    a near-Kuratowski graph or a random core, grown by subdivisions,
+    pendant trees, two-paths beside existing edges (their suppression
+    makes a parallel edge) and hanging or free cycles (which peel away
+    completely), with a stray edge now and then; randomly relabeled."""
+    core = rng.choice([K5, K33, K5.delete_edge(0, 1), K33.delete_edge(0, 3),
+                       random_graph(rng, rng.randint(4, 7))])
+    rows = core.rows()
+    target = rng.randint(9, 16)
+    while len(rows) < target:
+        n = len(rows)
+        edges = edges_from_rows(rows)
+        move = rng.randrange(6)
+        if move == 0 and edges:
+            rows = rows_subdivide_edge(rows, *rng.choice(edges))
+        elif move == 1:
+            rows = _add_vertex(rows, [rng.randrange(n)])
+        elif move == 2 and edges:
+            rows = _add_vertex(rows, rng.choice(edges))
+        elif move == 3 and target - n >= 3:
+            # a cycle through the new vertices, hanging at one old vertex
+            # or free
+            k = rng.randint(3, target - n)
+            rows = _add_vertex(rows, [rng.randrange(n)] if rng.random() < 0.5
+                               else [])
+            for i in range(1, k):
+                rows = _add_vertex(rows, [n + i - 1])
+            rows = rows_add_edge(rows, n, n + k - 1)
+        elif move == 4:
+            u, v = rng.sample(range(n), 2)
+            rows = rows_add_edge(rows, u, v)
+        elif move == 5 and edges and target - n >= 2:
+            # a degree-two chain beside an existing edge
+            u, v = rng.choice(edges)
+            rows = _add_vertex(rows, [u])
+            rows = _add_vertex(rows, [n, v])
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return relabel_rows(rows, tuple(perm))
+
+
+def test_peeled_graphs_against_networkx_and_reference():
+    rng = random.Random(8)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2400):
+        rows = _peel_graph(rng)
+        assert 9 <= len(rows) <= 16
+        want = _nx_planar_rows(rows)
+        assert is_planar_rows(rows) == want, rows
+        assert reference_planarity.is_planar_rows(rows) == want, rows
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 400
+
+
+def test_lean_kernel_against_reference_kernel(reps7):
+    """The left-right test on its own, no peel or certificate in front."""
+    rng = random.Random(11)
+    pool = [g.rows() for g in reps7]
+    pool += [random_graph(rng, rng.randint(8, 14), rng.uniform(0.15, 0.5))
+             .rows() for _ in range(1500)]
+    pool += [_peel_graph(rng) for _ in range(500)]
+    for rows in pool:
+        m = sum(r.bit_count() for r in rows) // 2
+        if m:
+            assert _lr_planar(len(rows), rows, m) == \
+                reference_planarity._lr_planar(len(rows), rows, m), rows
+
+
+def test_subgraph_certificates_against_networkx(reps_by_order, reps7):
+    k5 = to_networkx(K5)
+    k33 = to_networkx(K33)
+    hits = {"K5": 0, "K33": 0}
+    for reps in list(reps_by_order.values()) + [reps7]:
+        for g in reps:
+            h = to_networkx(g)
+            rows = g.rows()
+            want5 = GraphMatcher(h, k5).subgraph_is_monomorphic()
+            want33 = GraphMatcher(h, k33).subgraph_is_monomorphic()
+            assert _has_clique5(rows) == want5, g.sorted_edges()
+            assert _has_k33_subgraph(rows) == want33, g.sorted_edges()
+            hits["K5"] += want5
+            hits["K33"] += want33
+    assert min(hits.values()) > 10
 
 
 def test_minor_oracle_target_validation():

@@ -14,6 +14,10 @@ from minorsieve import Graph, Property, build_named, check, \
     check_with_witness, disjoint_union, find_apex_edge, find_apex_vertex, \
     find_contraction_apex
 
+from minorsieve.planarity import is_planar_rows
+from minorsieve.properties import first_planar_contraction, \
+    first_planar_edge_deletion, is_nc_rows, is_ne_rows
+
 from conftest import to_networkx
 
 K5 = Graph.complete(5)
@@ -163,3 +167,15 @@ def test_properties_of_trivial_graphs():
     # planar and complete: K4 is neither AN nor CAN
     assert not check(Graph.complete(4), Property.AN)
     assert not check(Graph.complete(4), Property.CAN)
+
+
+def test_ne_nc_rows_need_no_base_test(reps_by_order, reps7):
+    """``is_ne_rows``/``is_nc_rows`` skip the planarity test of the graph
+    itself; they still equal the definition, edgeless graphs included."""
+    pools = list(reps_by_order.values()) + [reps7]
+    for rows in (g.rows() for reps in pools for g in reps):
+        nonplanar = not is_planar_rows(rows)
+        assert is_ne_rows(rows) == (
+            nonplanar and first_planar_edge_deletion(rows) is None), rows
+        assert is_nc_rows(rows) == (
+            nonplanar and first_planar_contraction(rows) is None), rows
