@@ -20,9 +20,22 @@ its parent as a subgraph, so a child of a nonplanar parent is nonplanar.
 The parent is tested once, at its first accepted child, and only the
 children of a planar parent are tested themselves.
 
+A final level whose filter sets planarity and nothing else is the
+universe level of its order, filtered by ``is_planar_rows``.  Such a
+filter restricts no subset, so the expansion tries the same subsets and
+labels the same children in the same order as the unfiltered one, and
+only drops children afterwards; the universe level is sorted by key, so
+filtering it gives the final level row for row.  Each order is then
+enumerated once per process and shared by every search of that pool.
+The rule applies only below ``MAX_ENUM_ORDER``: the universe cache holds
+each level for the life of the process, and a level at the cap is too
+large to keep (12,005,168 classes at order 10), so it is built once,
+filtered as it is made, and dropped.
+
 Work is partitionable by parent: children of distinct parents never
-collide, so shards merge by concatenation plus a defensive duplicate
-check, and results are independent of shard count and job count.
+collide, so shards merge by one sort on the key plus a defensive check
+of adjacent keys, and results are independent of shard count and job
+count.
 """
 
 from __future__ import annotations
@@ -273,19 +286,13 @@ def _accept(child: Rows, new: int, parent: Rows,
 _UNIVERSE: dict[int, list[Rows]] = {1: [(0,)]}
 
 
-def universe_level(n: int) -> list[Rows]:
+def universe_level(n: int, jobs: int = 1) -> list[Rows]:
     """All canonical graphs of order n, sorted by canonical key, cached."""
     if n < 1:
         raise ValueError("universe levels start at order 1")
-    cached = _UNIVERSE.get(n)
-    if cached is not None:
-        return cached
-    pairs: list[tuple[bytes, Rows]] = []
-    for parent in universe_level(n - 1):
-        pairs.extend(_expand_parent(parent, None))
-    pairs.sort(key=lambda kr: kr[0])
-    level = [rows for _, rows in pairs]
-    _UNIVERSE[n] = level
+    level = _UNIVERSE.get(n)
+    if level is None:
+        level = _UNIVERSE[n] = _expand_level(n, None, jobs)
     return level
 
 
@@ -306,34 +313,50 @@ def _chunked(items: list, jobs: int) -> list[list]:
     return [items[i:i + span] for i in range(0, len(items), span)]
 
 
+def _expand_level(n: int, filt: EnumFilter | None, jobs: int,
+                  shard: int = 0, shards: int = 1) -> list[Rows]:
+    """Canonical rows of the accepted children of every ``shards``-th
+    order-(n - 1) parent from ``shard`` on, in canonical key order."""
+    parents = universe_level(n - 1, jobs)[shard::shards]
+    chunks = _chunked(parents, jobs)
+    pairs = [pair for part in parallel_map(
+        _expand_chunk, [(c, filt) for c in chunks], jobs) for pair in part]
+    pairs.sort()
+    for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        if a == b:
+            raise RuntimeError("duplicate canonical forms across "
+                               "enumeration shards")
+    return [rows for _, rows in pairs]
+
+
 def _final_pairs(filt: EnumFilter, jobs: int = 1,
                  max_order: int = MAX_ENUM_ORDER, shard: int = 0,
-                 shards: int = 1) -> list[tuple[bytes, Rows]]:
-    """Sorted (key, canonical rows) pairs of the final level, restricted
-    to the children of every ``shards``-th parent from ``shard`` on."""
-    if filt.order > max_order:
+                 shards: int = 1) -> list[Rows]:
+    """Canonical rows of the final level in key order, restricted to
+    the children of every ``shards``-th parent from ``shard`` on.
+
+    The name is older than the return type (rows, no keys); it stays
+    because the benchmark's tracer hooks this function to count final
+    levels.  A planarity-only filter below ``MAX_ENUM_ORDER`` is served
+    from the universe level (see the module docstring).
+    """
+    n = filt.order
+    if n > max_order:
         raise ResourceLimitError(
-            f"enumeration capped at order {max_order}; asked for {filt.order}"
+            f"enumeration capped at order {max_order}; asked for {n}"
         )
     worker_count(jobs, 1)  # rejects jobs < 1 here too, where no map runs
-    if filt.order == 1:
+    if n == 1:
         rows: Rows = (0,)
-        return [(canonical_key_rows(rows), rows)] \
-            if shard == 0 and filt.admits(rows) else []
-    parents = universe_level(filt.order - 1)[shard::shards]
-    chunks = _chunked(parents, jobs)
-    results = parallel_map(_expand_chunk, [(c, filt) for c in chunks], jobs)
-    merged: dict[bytes, Rows] = {}
-    total = 0
-    for part in results:
-        total += len(part)
-        for key, rows in part:
-            merged[key] = rows
-    if len(merged) != total:
-        raise RuntimeError(
-            "duplicate canonical forms across enumeration shards"
-        )
-    return sorted(merged.items())
+        return [rows] if shard == 0 and filt.admits(rows) else []
+    if shards == 1 and n < MAX_ENUM_ORDER and \
+            filt == EnumFilter(order=n, planarity=filt.planarity):
+        level = universe_level(n, jobs)
+        if filt.planarity == "all":
+            return level
+        want = filt.planarity == "planar"
+        return [rows for rows in level if is_planar_rows(rows) == want]
+    return _expand_level(n, filt, jobs, shard, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +366,7 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
 def enumerate_graphs(filt: EnumFilter, jobs: int = 1,
                      max_order: int = MAX_ENUM_ORDER) -> Iterator[Graph]:
     """One canonical representative per isomorphism class, key order."""
-    for _, rows in _final_pairs(filt, jobs, max_order):
+    for rows in _final_pairs(filt, jobs, max_order):
         yield Graph.from_rows(rows)
 
 
@@ -365,7 +388,7 @@ def enumerate_partition(filt: EnumFilter, shard: int, shards: int,
     if not 0 <= shard < shards:
         raise ValueError("need 0 <= shard < shards")
     return [Graph.from_rows(rows)
-            for _, rows in _final_pairs(filt, 1, max_order, shard, shards)]
+            for rows in _final_pairs(filt, 1, max_order, shard, shards)]
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +415,10 @@ class SearchReport:
         return hist
 
 
-def _decide_chunk(args: tuple[str, list[tuple[bytes, Rows]]]
-                  ) -> list[tuple[bytes, Rows]]:
-    prop_value, pairs = args
+def _decide_chunk(args: tuple[str, list[Rows]]) -> list[Rows]:
+    prop_value, pool = args
     prop = Property(prop_value)
-    return [(key, rows) for key, rows in pairs
+    return [rows for rows in pool
             if is_minor_minimal(Graph.from_rows(rows), prop)]
 
 
@@ -410,7 +432,8 @@ def search_minor_minimal(prop: Property, orders: Iterable[int],
     The candidate pool is planar for the two planar-side properties and
     nonplanar for the six others; disconnected graphs are included
     unless ``connected`` narrows the pool.  Results are independent of
-    ``jobs``.
+    ``jobs``.  ``found`` is in canonical key order: each pool is, the
+    orders ascend, and a key begins with the order.
     """
     order_list = tuple(sorted(set(orders)))
     if not order_list:
@@ -418,19 +441,18 @@ def search_minor_minimal(prop: Property, orders: Iterable[int],
     planarity = "planar" if prop in (Property.AN, Property.CAN) else "nonplanar"
     start = time.monotonic()
     scanned = 0
-    hits: list[tuple[bytes, Rows]] = []
+    hits: list[Rows] = []
     for order in order_list:
         filt = EnumFilter(order=order, min_degree=min_degree,
                           connected=connected, planarity=planarity)
-        pairs = _final_pairs(filt, jobs, max_order)
-        scanned += len(pairs)
-        chunks = _chunked(pairs, jobs)
+        pool = _final_pairs(filt, jobs, max_order)
+        scanned += len(pool)
+        chunks = _chunked(pool, jobs)
         results = parallel_map(_decide_chunk,
                                [(prop.value, c) for c in chunks], jobs)
         for part in results:
             hits.extend(part)
-    hits.sort(key=lambda kr: kr[0])
-    found = tuple(Graph.from_rows(rows) for _, rows in hits)
+    found = tuple(Graph.from_rows(rows) for rows in hits)
     return SearchReport(
         prop=prop, orders=order_list, min_degree=min_degree,
         connected=connected, planarity=planarity, scanned=scanned,

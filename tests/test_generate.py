@@ -7,6 +7,7 @@ import pytest
 from minorsieve import EnumFilter, Property, build_named, canonical_key, \
     count_graphs, enumerate_graphs, enumerate_partition, generate_graphs, \
     search_minor_minimal
+from minorsieve import generate
 
 # unlabeled simple graphs on n vertices (OEIS A000088)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -134,3 +135,55 @@ def test_report_round_trip_fields():
     assert report.orders == (5,)
     assert report.wall_time >= 0
     assert len(report.found) == 1
+
+
+# ---------------------------------------------------------------------------
+# planarity-only final levels: the filtered universe level
+# ---------------------------------------------------------------------------
+
+def _expanded(filt: EnumFilter) -> list:
+    """The final level by canonical augmentation under the filter."""
+    if filt.order == 1:
+        return [(0,)] if filt.admits((0,)) else []
+    return generate._expand_level(filt.order, filt, 1)
+
+
+@pytest.mark.parametrize("planarity", ("all", "planar", "nonplanar"))
+def test_universe_path_equals_expansion(planarity):
+    for order in range(1, 9):
+        filt = EnumFilter(order=order, planarity=planarity)
+        assert generate._final_pairs(filt) == _expanded(filt), order
+
+
+def test_parallel_universe_equals_serial(monkeypatch):
+    levels = {}
+    for jobs in (1, 2):
+        monkeypatch.setattr(generate, "_UNIVERSE", {1: [(0,)]})
+        levels[jobs] = [generate.universe_level(n, jobs)
+                        for n in range(1, 8)]
+    assert levels[2] == levels[1]
+    assert [len(level) for level in levels[1]] == \
+        [ALL_COUNTS[n] for n in range(1, 8)]
+
+
+def test_cap_order_never_enters_the_universe(monkeypatch):
+    monkeypatch.setattr(generate, "_UNIVERSE", {1: [(0,)]})
+    monkeypatch.setattr(generate, "MAX_ENUM_ORDER", 6)
+    filt = EnumFilter(order=6, planarity="nonplanar")
+    assert count_graphs(filt) == NONPLANAR_COUNTS[6]
+    assert max(generate._UNIVERSE) < 6
+
+
+def test_merge_rejects_duplicate_children(monkeypatch):
+    expand = generate._expand_chunk
+    monkeypatch.setattr(generate, "_expand_chunk",
+                        lambda args: expand(args) * 2)
+    with pytest.raises(RuntimeError, match="duplicate canonical forms"):
+        count_graphs(EnumFilter(order=5, connected=True))
+
+
+def test_search_found_in_key_order():
+    report = search_minor_minimal(Property.NE, orders=range(1, 8))
+    keys = [canonical_key(g) for g in report.found]
+    assert keys == sorted(set(keys))
+    assert len(keys) > 1

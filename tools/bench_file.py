@@ -17,6 +17,10 @@ environment (with its ``src/`` line count), its output digests and, when
 counts.  Per-run values are recomputed from the repetitions as
 ``run.py`` does; ``setup_s`` is the median over the repetitions only,
 because the seven set-up probe interpreters are not in the detail line.
+
+The file is written in any case; the exit status is then 1, with each
+workload named on stderr, when the parent's and the change's output
+digests of some workload differ.
 """
 
 from __future__ import annotations
@@ -153,6 +157,12 @@ def main(argv: list[str] | None = None) -> int:
         args.output.write_text(text)
     else:
         sys.stdout.write(text)
+    changed = [w for w, runs in doc["workloads"].items()
+               if not runs["digests"]["identical"]]
+    if changed:
+        print(f"outputs differ from the parent's: {', '.join(changed)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
