@@ -15,6 +15,14 @@ graphs, disjoint unions of those, strongly regular examples):
 * automorphisms discovered at equal leaves merge branch orbits, so at a
   branch point only one representative per known orbit is explored.
 
+Partition cells are vertex bitmasks.  Every cell's member list is
+ascending at every step: the first partition is range(n), a split keeps
+the members' relative order, individualizing v gives [v] and the rest in
+order, and fixing an interchangeable cell keeps the order.  So reading a
+mask's bits from low to high gives the list a list-of-lists partition
+would hold, and the ordered partition, every branch, every leaf and the
+discovered generators are those of the list form.
+
 Everything here is label-level: functions take (order, rows) with rows
 the adjacency bitmasks, and the Graph-facing wrappers live at the bottom.
 """
@@ -22,7 +30,7 @@ the adjacency bitmasks, and the Graph-facing wrappers live at the bottom.
 from __future__ import annotations
 
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows
+from .graphs import Graph, Rows, bits
 
 # hard cap on leaves visited by one canonical search; hit only by graphs far
 # outside this package's order range, and hitting it is an error, not a
@@ -34,71 +42,86 @@ LEAF_CAP = 250_000
 # refinement
 # ---------------------------------------------------------------------------
 
-def _mask(cell: list[int]) -> int:
-    mask = 0
-    for v in cell:
-        mask |= 1 << v
-    return mask
-
-
-def _refine(rows: Rows, cells: list[list[int]],
-            uniform: set[int]) -> list[list[int]]:
-    """Refine an ordered partition to equitability.
+def _refine(rows: Rows, cells: list[int], uniform: set[int]) -> list[int]:
+    """Refine an ordered partition of vertex masks to equitability.
 
     Every cell is split by the count of neighbors in every cell until
     stable.  Split pieces take their cell's place, ordered by
     decreasing count, so the resulting cell order depends only on
     isomorphism-invariant data.  After any split the sweeps start over
-    from the first cell.
+    from the first cell.  A singleton splitter {u} cuts a cell C into
+    C & N(u), then C & ~N(u), with no per-vertex work; a sweep copies
+    the cell list only from its first split on.
 
     ``uniform`` holds vertex masks that every current cell is already
     uniform against: all members of a cell have the same number of
     neighbors in the mask.  A sweep with such a mask splits nothing, so
     it is skipped.  Splits only cut cells into pieces, so a mask stays
-    uniform once it is; every finished sweep adds its mask.  The splits
-    made, and their order, are exactly those of sweeping with every cell.
+    uniform once it is; every sweep adds its mask.  The splits made, and
+    their order, are exactly those of sweeping with every cell.
     """
     idx = 0
     while idx < len(cells):
-        splitter = _mask(cells[idx])
+        splitter = cells[idx]
         idx += 1
         if splitter in uniform:
             continue
-        refined: list[list[int]] = []
-        for cell in cells:
-            if len(cell) > 1:
-                buckets: dict[int, list[int]] = {}
-                for v in cell:
-                    buckets.setdefault((rows[v] & splitter).bit_count(), []).append(v)
-                if len(buckets) > 1:
-                    refined.extend(buckets[k] for k in sorted(buckets, reverse=True))
-                    continue
-            refined.append(cell)
         uniform.add(splitter)
-        if len(refined) > len(cells):
+        refined: list[int] | None = None
+        if not splitter & (splitter - 1):
+            nbrs = rows[splitter.bit_length() - 1]
+            for i, cell in enumerate(cells):
+                hit = cell & nbrs
+                if hit and hit != cell:
+                    if refined is None:
+                        refined = cells[:i]
+                    refined.append(hit)
+                    refined.append(cell ^ hit)
+                elif refined is not None:
+                    refined.append(cell)
+        else:
+            for i, cell in enumerate(cells):
+                if cell & (cell - 1):
+                    buckets: dict[int, int] = {}
+                    rest = cell
+                    while rest:
+                        low = rest & -rest
+                        k = (rows[low.bit_length() - 1] & splitter).bit_count()
+                        buckets[k] = buckets.get(k, 0) | low
+                        rest ^= low
+                    if len(buckets) > 1:
+                        if refined is None:
+                            refined = cells[:i]
+                        refined.extend(buckets[k]
+                                       for k in sorted(buckets, reverse=True))
+                        continue
+                if refined is not None:
+                    refined.append(cell)
+        if refined is not None:
             cells = refined
             idx = 0
     return cells
 
 
-def _interchangeable(rows: Rows, cell: list[int]) -> bool:
+def _interchangeable(rows: Rows, cell: int) -> bool:
     """True if every transposition inside the cell is a graph automorphism.
 
     Holds when all cell vertices have the same neighbors outside the cell
     and the induced subgraph on the cell is complete or empty.
     """
-    mask = _mask(cell)
-    outside = rows[cell[0]] & ~mask
-    inside = rows[cell[0]] & mask
-    full = (inside == mask & ~(1 << cell[0]))
+    members = list(bits(cell))
+    first = members[0]
+    outside = rows[first] & ~cell
+    inside = rows[first] & cell
+    full = (inside == cell & ~(1 << first))
     empty = (inside == 0)
     if not (full or empty):
         return False
-    for v in cell[1:]:
-        if rows[v] & ~mask != outside:
+    for v in members[1:]:
+        if rows[v] & ~cell != outside:
             return False
-        ins = rows[v] & mask
-        if full and ins != mask & ~(1 << v):
+        ins = rows[v] & cell
+        if full and ins != cell & ~(1 << v):
             return False
         if empty and ins != 0:
             return False
@@ -121,20 +144,20 @@ class _Search:
         self.leaves = 0
 
     def run(self) -> None:
-        cells = _refine(self.rows, [list(range(self.n))], set())
+        cells = _refine(self.rows, [(1 << self.n) - 1], set())
         self._node(cells, [], [], True)
 
-    def _node(self, cells: list[list[int]], perm: list[int], codes: list[int],
+    def _node(self, cells: list[int], perm: list[int], codes: list[int],
               tied: bool) -> None:
         rows = self.rows
         lead = 0
-        while lead < len(cells) and len(cells[lead]) == 1:
+        while lead < len(cells) and not cells[lead] & (cells[lead] - 1):
             lead += 1
         # place the leading singletons not placed yet (positions align with
         # cells: position k is cells[k] while k < lead), extending the code
         # and comparing against the best leaf while still tied
         while len(perm) < lead:
-            v = cells[len(perm)][0]
+            v = cells[len(perm)].bit_length() - 1
             code = 0
             rv = rows[v]
             for i, u in enumerate(perm):
@@ -154,23 +177,23 @@ class _Search:
         if _interchangeable(rows, target):
             # any internal order completes to the same canonical code, and
             # fixing one cannot split the other cells either
-            fixed = cells[:lead] + [[v] for v in target] + cells[lead + 1 :]
+            fixed = cells[:lead] + [1 << v for v in bits(target)] \
+                + cells[lead + 1:]
             self._node(fixed, perm, codes, tied)
             return
         # branch: individualize one representative per known orbit.  The
         # partition here is equitable (refined, or refined and then an
         # interchangeable cell fixed), so every child starts out uniform
         # against each of its cells
-        swept = {_mask(c) for c in cells}
         seen_orbits = set()
-        for v in target:
+        for v in bits(target):
             rep = self._orbit_rep(v, perm)
             if rep in seen_orbits:
                 continue
             seen_orbits.add(rep)
-            rest = [u for u in target if u != v]
-            child = _refine(rows, cells[:lead] + [[v], rest] + cells[lead + 1 :],
-                            set(swept))
+            single = 1 << v
+            child = _refine(rows, cells[:lead] + [single, target ^ single]
+                            + cells[lead + 1:], set(cells))
             self._node(child, perm[:], codes[:], tied)
 
     def _leaf(self, perm: list[int], codes: list[int], tied: bool) -> None:

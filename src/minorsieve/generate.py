@@ -10,6 +10,22 @@ well defined up to automorphism, so the recovered parent is a class
 invariant, and per-parent key deduplication removes the remaining
 within-parent repeats.
 
+Both orbit tests, skipping a subset in the orbit of an earlier one in
+``_expand_parent`` and accepting when the canonically last vertex is in
+the orbit of the new one in ``_accept``, use the generators the
+canonical search discovered plus the twin transpositions of
+``_twin_swaps``.  The search never branches on an interchangeable cell,
+so it never reports twin swaps itself.  Swapping two vertices with equal
+open neighborhoods, or with equal closed neighborhoods, is an
+automorphism, and both tests are sound positive tests: a skipped subset
+gives a child isomorphic to one already tried, which acceptance and key
+deduplication would have dropped; an accepted child is one whose last
+vertex deletes to the parent, which the slow path would have accepted.
+So extra true automorphisms only spare labelings, and the (key, rows)
+output and its order are unchanged.  The swaps are added here and not in
+the canonical search, whose trace and ``(key, perm, gens)`` stay as
+they are.
+
 Levels below the target order must be complete universes (an augmenting
 chain may pass through graphs violating any final filter), so filters
 prune subsets only at the last level, where their effect on the child
@@ -117,6 +133,23 @@ def _subset_image(s: int, gen: tuple[int, ...]) -> int:
     return img
 
 
+def _twin_swaps(rows: Rows) -> list[tuple[int, ...]]:
+    """Transpositions of twins: each vertex after the first of a group
+    with equal open neighborhoods, or with equal closed neighborhoods,
+    swapped with that first vertex.  Each is an automorphism."""
+    n = len(rows)
+    swaps: list[tuple[int, ...]] = []
+    for closed in (0, 1):
+        first: dict[int, int] = {}
+        for v in range(n):
+            u = first.setdefault(rows[v] | closed << v, v)
+            if u != v:
+                gen = list(range(n))
+                gen[u], gen[v] = v, u
+                swaps.append(tuple(gen))
+    return swaps
+
+
 def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, Rows]]:
     """Accepted canonical children of one canonical parent.
 
@@ -168,6 +201,7 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
     if lo_bits > hi_bits:
         return []
     parent_key, _, gens = canonical_data(parent)
+    gens = gens + _twin_swaps(parent)
     want_planar = None if filt is None or filt.planarity == "all" \
         else filt.planarity == "planar"
     parent_planar = None  # tested once, at the first child that needs it
@@ -258,6 +292,7 @@ def _accept(child: Rows, new: int, parent: Rows,
     last = perm[-1]
     if last == new:
         return key, relabel_rows(child, perm)
+    gens = gens + _twin_swaps(child)
     if gens:
         orbit = {new}
         stack = [new]

@@ -6,11 +6,20 @@ labeling.  The reference below is the augmentation with neither
 pre-test: it labels the parent first and every candidate child, and
 rejects on the labeled child only.  Both must return the same
 (key, rows) list, in the same order, for every parent they meet.
+
+With ``use_generators=False`` the reference also ignores every
+automorphism generator: it labels the child of every subset and decides
+every acceptance by deleting the canonically last vertex and comparing
+with the parent's key.  Agreement with that variant shows that the
+orbit tests, including the twin transpositions ``_expand_parent`` and
+``_accept`` add to the discovered generators, drop no class.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from minorsieve.canon import canonical_data, canonical_key_rows, \
     relabel_rows
@@ -27,10 +36,13 @@ from conftest import random_graph
 # reference augmentation: every candidate labeled
 # ---------------------------------------------------------------------------
 
-def reference_expand(parent: Rows,
-                     filt: EnumFilter | None) -> list[tuple[bytes, Rows]]:
+def reference_expand(parent: Rows, filt: EnumFilter | None,
+                     use_generators: bool = True) -> list[tuple[bytes, Rows]]:
     n = len(parent)
     parent_key, _, gens = canonical_data(parent)
+    if not use_generators:
+        gens = []
+    accept = reference_accept if use_generators else unpruned_accept
 
     required = 0
     lo_bits, hi_bits = 0, n
@@ -84,7 +96,7 @@ def reference_expand(parent: Rows,
         child = tuple(
             parent[v] | (((s >> v) & 1) << n) for v in range(n)
         ) + (s,)
-        accepted = reference_accept(child, n, parent, parent_key)
+        accepted = accept(child, n, parent, parent_key)
         if accepted is None:
             continue
         key, crows = accepted
@@ -127,6 +139,14 @@ def reference_accept(child: Rows, new: int, parent: Rows,
     return key, relabel_rows(child, perm)
 
 
+def unpruned_accept(child: Rows, new: int, parent: Rows,
+                    parent_key: bytes) -> tuple[bytes, Rows] | None:
+    key, perm, _ = canonical_data(child)
+    if canonical_key_rows(rows_delete_vertex(child, perm[-1])) != parent_key:
+        return None
+    return key, relabel_rows(child, perm)
+
+
 # ---------------------------------------------------------------------------
 # agreement
 # ---------------------------------------------------------------------------
@@ -157,6 +177,20 @@ def test_filtered_order_7_parents():
         got = _expand_parent(parent, filt)
         assert got == reference_expand(parent, filt), parent
         total += len(got)
+    assert total > 0
+
+
+@pytest.mark.parametrize("filtered", (False, True))
+def test_generators_drop_no_class_through_order_6(filtered):
+    total = 0
+    for n in range(1, 7):
+        filt = EnumFilter(order=n + 1, min_degree=4, connected=True,
+                          planarity="nonplanar") if filtered else None
+        for parent in universe_level(n):
+            got = _expand_parent(parent, filt)
+            assert got == reference_expand(parent, filt,
+                                           use_generators=False), (n, parent)
+            total += len(got)
     assert total > 0
 
 

@@ -3,7 +3,11 @@
 Every canonical key, graph6 line and key order the package emits comes
 from ``canonical_data``.  A speedup of the search must leave its
 ``(key, perm)`` output unchanged, label for label, so these digests were
-recorded once and every later version must reproduce them.
+recorded once and every later version must reproduce them.  The
+discovered generators are frozen too: they are the automorphisms found
+at tied leaves, in the order found, so equal generator lists show that
+the search visited the same leaves in the same order, not only that it
+ended at the same one.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ GOLDEN = {
     "random_2000": "e5a149e767633cd9dd9fb5384bffbea4d18606789726a0763c2ae16ea259c16a",
 }
 
+GOLDEN_WITH_GENERATORS = {
+    "classes_1_to_7": "31dc77275c249b6e163e4de46dd95a69948dd232f9eab18260243b6bf326eb52",
+    "catalog": "ec384e11f4d0c785a465c19cdb8e88773ac055e4cf299d452f5a332c8108ad89",
+    "random_2000": "a3bec6a1a81605ea6314d0d27f6435aa3842eefdb49500ed43bcf6f2635a602f",
+}
+
 
 def _digest(rows_iter) -> str:
     h = hashlib.sha256()
@@ -32,6 +42,18 @@ def _digest(rows_iter) -> str:
         key, perm, _ = canonical_data(tuple(rows))
         h.update(len(key).to_bytes(2, "big") + key)
         h.update(bytes(perm))
+    return h.hexdigest()
+
+
+def _digest_with_generators(rows_iter) -> str:
+    h = hashlib.sha256()
+    for rows in rows_iter:
+        key, perm, gens = canonical_data(tuple(rows))
+        h.update(len(key).to_bytes(2, "big") + key)
+        h.update(bytes(perm))
+        h.update(len(gens).to_bytes(2, "big"))
+        for gen in gens:
+            h.update(bytes(gen))
     return h.hexdigest()
 
 
@@ -58,3 +80,12 @@ def _random():
 ])
 def test_canonical_data_is_frozen(name, source):
     assert _digest(source()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,source", [
+    ("classes_1_to_7", _classes),
+    ("catalog", _catalog),
+    ("random_2000", _random),
+])
+def test_discovered_generators_are_frozen(name, source):
+    assert _digest_with_generators(source()) == GOLDEN_WITH_GENERATORS[name]

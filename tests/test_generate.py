@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from minorsieve import EnumFilter, Property, build_named, canonical_key, \
     count_graphs, enumerate_graphs, enumerate_partition, generate_graphs, \
     search_minor_minimal
 from minorsieve import generate
+from minorsieve.graphs import rows_from_edges
+
+from conftest import random_graph
 
 # unlabeled simple graphs on n vertices (OEIS A000088)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -187,3 +192,54 @@ def test_search_found_in_key_order():
     keys = [canonical_key(g) for g in report.found]
     assert keys == sorted(set(keys))
     assert len(keys) > 1
+
+
+# ---------------------------------------------------------------------------
+# twin transpositions
+# ---------------------------------------------------------------------------
+
+def _is_automorphism(rows, perm) -> bool:
+    return all(generate._subset_image(rows[v], perm) == rows[perm[v]]
+               for v in range(len(rows)))
+
+
+def _twin_class(rows, v) -> set[int]:
+    return {u for u in range(len(rows))
+            if rows[u] == rows[v] or rows[u] | 1 << u == rows[v] | 1 << v}
+
+
+def test_twin_swaps_are_automorphisms():
+    rng = random.Random(20261018)
+    sources = [rows for n in range(1, 8) for rows in generate.universe_level(n)]
+    sources += [random_graph(rng, rng.randint(1, 10)).rows()
+                for _ in range(2000)]
+    swapped = 0
+    for rows in sources:
+        for perm in generate._twin_swaps(rows):
+            assert sorted(perm) == list(range(len(rows)))
+            assert sum(perm[v] != v for v in range(len(rows))) == 2
+            assert _is_automorphism(rows, perm), (rows, perm)
+            swapped += 1
+    assert swapped > 0
+
+
+@pytest.mark.parametrize("order,edges", [
+    (6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),  # K6
+    (6, [(u, v) for u in range(3) for v in range(3, 6)]),  # K3,3
+    (8, [(0, 1), (2, 3), (4, 5), (6, 7)]),  # 4K2
+    (6, [(0, v) for v in range(1, 6)]),  # K1,5
+    (5, []),  # edgeless
+])
+def test_twin_swaps_orbits_are_twin_classes(order, edges):
+    rows = rows_from_edges(order, edges)
+    swaps = generate._twin_swaps(rows)
+    for v in range(order):
+        orbit = {v}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for perm in swaps:
+                if perm[x] not in orbit:
+                    orbit.add(perm[x])
+                    stack.append(perm[x])
+        assert orbit == _twin_class(rows, v), v
