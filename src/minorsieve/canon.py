@@ -237,11 +237,15 @@ class _Search:
 # public, rows-level
 # ---------------------------------------------------------------------------
 
+#: largest order a key can encode: a key starts with the order as one byte
+MAX_ORDER = 255
+
+
 def _canonical(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
     """One canonical search: (key, perm, discovered generators)."""
     n = len(rows)
-    if n > 255:
-        raise ResourceLimitError("canonical keys support order <= 255")
+    if n > MAX_ORDER:
+        raise ResourceLimitError(f"canonical keys support order <= {MAX_ORDER}")
     if n == 0:
         return bytes([0]), (), []
     if n == 1:

@@ -118,10 +118,10 @@ def _cmd_minimal(args) -> int:
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
-    lo, _, hi = text.partition("-")
+    lo, dash, hi = text.partition("-")
     try:
         a = int(lo)
-        b = int(hi) if hi else a
+        b = int(hi) if dash else a
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--order wants N or A-B, got {text!r}"

@@ -15,6 +15,7 @@ import json
 from typing import Iterable
 
 from . import __version__
+from .canon import MAX_ORDER
 from .errors import EdgeListParseError, Graph6ParseError
 from .graphs import Graph
 
@@ -115,6 +116,8 @@ def parse_edge_list(text: str) -> Graph:
                 f"declared order {declared} is below the largest label {order}"
             )
         order = declared
+    if order > MAX_ORDER:  # before a row is allocated
+        raise EdgeListParseError(f"order {order} is above {MAX_ORDER}")
     return Graph(order, edges)
 
 

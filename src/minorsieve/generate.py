@@ -42,11 +42,12 @@ filter restricts no subset, so the expansion tries the same subsets and
 labels the same children in the same order as the unfiltered one, and
 only drops children afterwards; the universe level is sorted by key, so
 filtering it gives the final level row for row.  Each order is then
-enumerated once per process and shared by every search of that pool.
-The rule applies only below ``MAX_ENUM_ORDER``: the universe cache holds
-each level for the life of the process, and a level at the cap is too
-large to keep (12,005,168 classes at order 10), so it is built once,
-filtered as it is made, and dropped.
+enumerated once per process and shared by every search of that pool,
+and ``_PLANAR`` keeps each member's planarity from the first planar or
+nonplanar request on.  The rule applies only below ``MAX_ENUM_ORDER``:
+both caches hold each level for the life of the process, and a level at
+the cap is too large to keep (12,005,168 classes at order 10), so it is
+built once, filtered as it is made, and dropped.
 
 Work is partitionable by parent: children of distinct parents never
 collide, so shards merge by one sort on the key plus a defensive check
@@ -63,7 +64,7 @@ from typing import Iterable, Iterator
 from .canon import canonical_data, canonical_key_rows, relabel_rows
 from .errors import ResourceLimitError
 from .graphs import Graph, Rows, rows_component_masks, rows_connected, \
-    rows_delete_vertex, rows_size
+    rows_delete_vertex, rows_size, rows_twin_firsts
 from .minimality import is_minor_minimal
 from .parallel import parallel_map, worker_count
 from .planarity import is_planar_rows
@@ -134,19 +135,15 @@ def _subset_image(s: int, gen: tuple[int, ...]) -> int:
 
 
 def _twin_swaps(rows: Rows) -> list[tuple[int, ...]]:
-    """Transpositions of twins: each vertex after the first of a group
-    with equal open neighborhoods, or with equal closed neighborhoods,
-    swapped with that first vertex.  Each is an automorphism."""
+    """Each vertex swapped with the first of its twin class
+    (``rows_twin_firsts``); each transposition is an automorphism."""
     n = len(rows)
     swaps: list[tuple[int, ...]] = []
-    for closed in (0, 1):
-        first: dict[int, int] = {}
-        for v in range(n):
-            u = first.setdefault(rows[v] | closed << v, v)
-            if u != v:
-                gen = list(range(n))
-                gen[u], gen[v] = v, u
-                swaps.append(tuple(gen))
+    for v, u in enumerate(rows_twin_firsts(rows)):
+        if u != v:
+            gen = list(range(n))
+            gen[u], gen[v] = v, u
+            swaps.append(tuple(gen))
     return swaps
 
 
@@ -319,6 +316,7 @@ def _accept(child: Rows, new: int, parent: Rows,
 # ---------------------------------------------------------------------------
 
 _UNIVERSE: dict[int, list[Rows]] = {1: [(0,)]}
+_PLANAR: dict[int, list[bool]] = {}  # order -> is_planar_rows per member
 
 
 def universe_level(n: int, jobs: int = 1) -> list[Rows]:
@@ -373,7 +371,7 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
     The name is older than the return type (rows, no keys); it stays
     because the benchmark's tracer hooks this function to count final
     levels.  A planarity-only filter below ``MAX_ENUM_ORDER`` is served
-    from the universe level (see the module docstring).
+    from the universe level and its flags (see the module docstring).
     """
     n = filt.order
     if n > max_order:
@@ -390,7 +388,10 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
         if filt.planarity == "all":
             return level
         want = filt.planarity == "planar"
-        return [rows for rows in level if is_planar_rows(rows) == want]
+        flags = _PLANAR.get(n)
+        if flags is None:
+            flags = _PLANAR[n] = [is_planar_rows(rows) for rows in level]
+        return [rows for rows, p in zip(level, flags) if p == want]
     return _expand_level(n, filt, jobs, shard, shards)
 
 

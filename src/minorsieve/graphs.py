@@ -152,6 +152,21 @@ def rows_connected(rows: Rows) -> bool:
     return comp == (1 << n) - 1
 
 
+def rows_twin_firsts(rows: Rows) -> list[int]:
+    """The least vertex of each vertex's twin class.  Twins have equal
+    open, or equal closed, neighborhoods, so swapping two is an
+    automorphism.  No v has an open twin u and a closed twin w (w is in
+    N(v) = N(u), so u is in N[w] = N[v]): the classes partition V."""
+    first: dict[int, int] = {}
+    out = []
+    for v, r in enumerate(rows):
+        u = first.get(r, first.get(r | 1 << v, v))
+        if u == v:
+            first[r] = first[r | 1 << v] = v
+        out.append(u)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the Graph value type
 # ---------------------------------------------------------------------------

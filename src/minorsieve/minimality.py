@@ -5,7 +5,9 @@ proper minor does.  Three deciders cover the eight properties:
 
 * ``is_minor_minimal_upclosed`` handles NA, IA, IE and IC, whose
   negations are minor-closed: there, the property propagates upward
-  along the minor order, so checking the one-step minors suffices.
+  along the minor order, so checking the one-step minors suffices.  The
+  property is an isomorphism invariant, so labeled minors serve as well
+  as canonical ones and ``_twin_minors`` needs no canonical search.
 
 * ``is_mmne`` and ``is_mmnc`` handle NE and NC, which lack that closure
   (deleting an edge can make a graph NE that was not, and dually).  They
@@ -90,11 +92,14 @@ of the plain walk that tests and labels every child:
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .canon import canonical_data, canonical_key, canonical_key_rows, \
     relabel_rows
 from .errors import ResourceLimitError
 from .graphs import Graph, Rows, edges_from_rows, rows_add_edge, \
-    rows_contract_edge, rows_delete_edge, rows_delete_vertex
+    rows_contract_edge, rows_delete_edge, rows_delete_vertex, \
+    rows_twin_firsts
 from .planarity import is_planar_rows
 from .properties import Property, UPWARD_CLOSED, check, \
     first_planar_contraction, first_planar_edge_deletion, \
@@ -141,6 +146,24 @@ def one_step_minors(g: Graph) -> list[Graph]:
     return [Graph.from_rows(r) for r in one_step_minor_rows(g.rows())]
 
 
+def _twin_minors(rows: Rows) -> Iterator[Rows]:
+    """Labeled single-operation minors in ``one_step_minor_rows``' order,
+    one per orbit of the twin swaps.  The swaps permute each twin class
+    (``rows_twin_firsts``) freely, so one vertex per class, and one edge
+    per pair of classes or per closed class, stands for all."""
+    rep = rows_twin_firsts(rows)
+    for v, u in enumerate(rep):
+        if u == v:
+            yield rows_delete_vertex(rows, v)
+    pairs = set()
+    for u, v in edges_from_rows(rows):
+        pair = (rep[u], rep[v]) if rep[u] < rep[v] else (rep[v], rep[u])
+        if pair not in pairs:
+            pairs.add(pair)
+            yield rows_delete_edge(rows, u, v)
+            yield rows_contract_edge(rows, u, v)
+
+
 # ---------------------------------------------------------------------------
 # fast deciders
 # ---------------------------------------------------------------------------
@@ -151,7 +174,8 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
         raise ValueError(f"{prop} is not upward-closed; use the sieve or oracle")
     if not check(g, prop):
         return False
-    return not any(check(m, prop) for m in one_step_minors(g))
+    return not any(check(Graph.from_rows(m), prop)  # repeats skipped
+                   for m in dict.fromkeys(_twin_minors(g.rows())))
 
 
 def _closure_walk(rows: Rows, step, scan, max_members: int,

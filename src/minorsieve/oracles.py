@@ -1,9 +1,10 @@
 """Oracles that check the fast paths; only the package root imports them.
 
 * ``has_minor`` decides K5 / K3,3 minor containment by an exhaustive
-  memoized contraction walk whose base case is the planarity module's
-  K5 / K3,3 subgraph test.  It never consults the left-right test, so
-  the two can check each other (and the tests make them).
+  memoized contraction walk whose base case is a K5 subgraph test
+  (``_has_clique5``, here) or the planarity module's K3,3 subgraph
+  test.  It never consults the left-right test, so the two can check
+  each other (and the tests make them).
 * ``find_k_subgraph`` extracts an explicit Kuratowski subdivision from a
   nonplanar graph by greedy edge-minimization, which costs more than the
   boolean test and is kept off the boolean path.
@@ -12,11 +13,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .canon import canonical_key_rows
 from .graphs import Graph, Rows, bits, rows_contract_edge, rows_delete_edge
-from .planarity import _has_clique5, _has_k33_subgraph, is_planar, \
-    is_planar_rows
+from .planarity import _has_k33_subgraph, is_planar, is_planar_rows
 
 __all__ = ["has_minor", "find_k_subgraph", "KSubgraph"]
 
@@ -24,6 +25,13 @@ __all__ = ["has_minor", "find_k_subgraph", "KSubgraph"]
 # ---------------------------------------------------------------------------
 # K5 / K3,3 minor oracle (independent of the left-right test)
 # ---------------------------------------------------------------------------
+
+def _has_clique5(rows: Rows) -> bool:
+    """Five pairwise adjacent vertices, by brute force."""
+    cand = [v for v, r in enumerate(rows) if r.bit_count() >= 4]
+    return any(all(rows[a] >> b & 1 for a, b in combinations(five, 2))
+               for five in combinations(cand, 5))
+
 
 _K5_MEMO: dict[bytes, bool] = {}
 _K33_MEMO: dict[bytes, bool] = {}

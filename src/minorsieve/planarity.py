@@ -1,4 +1,4 @@
-"""Planarity testing: peel, subgraph certificates, the left-right test.
+"""Planarity testing: peel, a subgraph certificate, the left-right test.
 
 ``is_planar_rows`` is the call the searches hammer.  It answers in four
 stages, each exact, and stops at the first that decides:
@@ -12,18 +12,25 @@ stages, each exact, and stops at the first that decides:
    graph homeomorphic to the old one, and a parallel edge never changes
    planarity.  Repeating both until every vertex has degree zero or at
    least three, and dropping isolated vertices, leaves a smaller graph
-   with the same answer, to which the edge counts apply again.
-3. Certificate.  A K3,3 or K5 *subgraph* is a Kuratowski subgraph, so the
-   graph is nonplanar.  ``_has_k33_subgraph`` and ``_has_clique5`` look
-   for one with bitsets; a miss proves nothing and falls through.
+   (the core) with the same answer, to which the edge counts apply again.
+3. Certificate.  A K3,3 *subgraph* is a Kuratowski subgraph, so the graph
+   is nonplanar.  ``_has_k33_subgraph`` looks for one with bitsets.  On a
+   core of at most six vertices a miss proves planarity: every vertex has
+   degree at least 3, the counts leave 9 <= m <= 3n - 6, and a Kuratowski
+   subdivision on at most six vertices is K3,3, K5, or K5 with one edge
+   ab subdivided by a vertex x.  A K5 subgraph needs 10 > 9 edges when
+   n = 5, and 10 + 3 = 13 > 12 when n = 6 (the sixth vertex has degree 3
+   or more).  So in the third case ab is not an edge, x has a third
+   neighbor among the other three branch vertices, say c with d and e
+   the rest, and {a, b, c} | {x, d, e} is a K3,3 subgraph.
 4. The boolean left-right test (Brandes' formulation of
    de Fraysseix-Rosenstiehl), run on adjacency bitmasks with iterative
-   depth-first phases.
+   depth-first phases.  ``_lr_memo``, the only planarity cache, keeps
+   its answers for the last 1,024 distinct cores: the walks and scans of
+   one decision meet the same core through different minors.
 
-``is_planar`` answers for a ``Graph`` through an LRU cache keyed by its
-rows.  The independent checks of this test (the K5 / K3,3 minor walk and
-the Kuratowski witness) live in the oracles module, which imports the two
-subgraph certificates from here.
+The independent checks of this test (the K5 / K3,3 minor walk and the
+Kuratowski witness) live in the oracles module.
 """
 
 from __future__ import annotations
@@ -51,22 +58,22 @@ def is_planar_rows(rows: Rows) -> bool:
             return True
         if m > 3 * n - 6:
             return False
-    if _has_k33_subgraph(rows) or _has_clique5(rows):
+    if _has_k33_subgraph(rows):
         return False
-    return _lr_planar(n, rows, m)
+    return n <= 6 or _lr_memo(rows)  # small cores: module docstring
 
 
 def is_planar(g: Graph) -> bool:
-    return _is_planar_cached(g.rows())
+    return is_planar_rows(g.rows())
 
 
-@lru_cache(maxsize=1 << 17)
-def _is_planar_cached(rows: Rows) -> bool:
-    return is_planar_rows(rows)
+@lru_cache(maxsize=1024)
+def _lr_memo(rows: Rows) -> bool:
+    return _lr_planar(len(rows), rows, sum(r.bit_count() for r in rows) // 2)
 
 
 # ---------------------------------------------------------------------------
-# peel and subgraph certificates
+# peel and subgraph certificate
 # ---------------------------------------------------------------------------
 
 def _peel(rows: Rows, degrees: list[int]) -> Rows:
@@ -109,28 +116,6 @@ def _peel(rows: Rows, degrees: list[int]) -> Rows:
             r ^= low
         out.append(c)
     return tuple(out)
-
-
-def _has_clique5(rows: Rows) -> bool:
-    cand = 0  # a K5 vertex has degree at least four
-    for v, r in enumerate(rows):
-        if r.bit_count() >= 4:
-            cand |= 1 << v
-
-    def extend(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if cand.bit_count() + 1 < need:
-                return False
-            if extend(cand & rows[v], need - 1):
-                return True
-        return False
-
-    return cand.bit_count() >= 5 and extend(cand, 5)
 
 
 def _has_k33_subgraph(rows: Rows) -> bool:

@@ -100,6 +100,22 @@ def test_bad_order_range_rejected(capsys):
         main(["search", "--order", "x", "--count-only"])
 
 
+@pytest.mark.parametrize("text", ["5-", "4-5-"])
+def test_dangling_order_range_rejected(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--order", text, "--count-only"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
+
+
+def test_huge_declared_order_is_usage_error(tmp_path, capsys):
+    # rejected before any row is allocated
+    f = tmp_path / "huge.txt"
+    f.write_text("1000000000;{}\n")
+    assert main(["check", str(f), "--property", "planar"]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_count_only_pool(capsys):
     assert main(["search", "--order", "1-6", "--planarity", "nonplanar",
                  "--count-only"]) == 0

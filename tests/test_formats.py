@@ -63,6 +63,13 @@ def test_parse_errors_name_the_position(text, fragment):
     assert fragment in str(exc.value)
 
 
+def test_edge_list_order_is_bounded():
+    assert parse_edge_list("255;{}").order == 255
+    for text in ("256;{}", "{(1,256)}"):
+        with pytest.raises(EdgeListParseError, match="above 255"):
+            parse_edge_list(text)
+
+
 def test_emit_parse_inverse():
     k5 = Graph.complete(5)
     assert parse_edge_list(emit_edge_list(k5)).edges == k5.edges

@@ -11,6 +11,7 @@ from minorsieve import EnumFilter, Property, build_named, canonical_key, \
     search_minor_minimal
 from minorsieve import generate
 from minorsieve.graphs import rows_from_edges
+from minorsieve.planarity import is_planar_rows
 
 from conftest import random_graph
 
@@ -173,10 +174,34 @@ def test_parallel_universe_equals_serial(monkeypatch):
 
 def test_cap_order_never_enters_the_universe(monkeypatch):
     monkeypatch.setattr(generate, "_UNIVERSE", {1: [(0,)]})
+    monkeypatch.setattr(generate, "_PLANAR", {})
     monkeypatch.setattr(generate, "MAX_ENUM_ORDER", 6)
     filt = EnumFilter(order=6, planarity="nonplanar")
     assert count_graphs(filt) == NONPLANAR_COUNTS[6]
     assert max(generate._UNIVERSE) < 6
+    assert count_graphs(EnumFilter(order=5, planarity="nonplanar")) == 1
+    assert list(generate._PLANAR) == [5]
+
+
+def test_level_planarity_is_tested_once(monkeypatch):
+    level = generate.universe_level(7)
+    tested = []
+
+    def counting(rows):
+        tested.append(rows)
+        return is_planar_rows(rows)
+
+    monkeypatch.setattr(generate, "_PLANAR", {})
+    monkeypatch.setattr(generate, "is_planar_rows", counting)
+    pools = {p: generate._final_pairs(EnumFilter(order=7, planarity=p))
+             for p in ("planar", "nonplanar")}
+    again = generate._final_pairs(EnumFilter(order=7, planarity="planar"))
+    assert tested == level  # each member once, over all three requests
+    for p, pool in pools.items():
+        assert pool == [rows for rows in level
+                        if is_planar_rows(rows) == (p == "planar")]
+    assert again == pools["planar"]
+    assert len(pools["nonplanar"]) == NONPLANAR_COUNTS[7]
 
 
 def test_merge_rejects_duplicate_children(monkeypatch):

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from minorsieve import Graph, Property, ResourceLimitError, build_named, \
-    disjoint_union, is_minor_minimal, is_minor_minimal_exhaustive, \
-    is_minor_minimal_upclosed, is_mmnc, is_mmne, is_planar, one_step_minors
+from minorsieve import Graph, Property, ResourceLimitError, UPWARD_CLOSED, \
+    all_entries, build_named, check, disjoint_union, is_minor_minimal, \
+    is_minor_minimal_exhaustive, is_minor_minimal_upclosed, is_mmnc, \
+    is_mmne, is_planar, one_step_minors
 
 from conftest import random_graph
 
@@ -34,6 +35,30 @@ def test_one_step_minors_contains_all_three_operations():
 def test_upclosed_requires_upward_closed_property():
     with pytest.raises(ValueError):
         is_minor_minimal_upclosed(K5, Property.NE)
+
+
+def reference_upclosed(g: Graph, prop: Property, minors: list[Graph]) -> bool:
+    """The one-step decider over canonical representatives, as it stood
+    before it checked labeled minors; ``minors`` is one_step_minors(g)."""
+    if not check(g, prop):
+        return False
+    return not any(check(m, prop) for m in minors)
+
+
+def test_upclosed_matches_canonical_reference(reps_by_order, reps7):
+    graphs = [g for reps in reps_by_order.values() for g in reps] + reps7
+    graphs += [entry.graph for entry in all_entries()]
+    hits = dict.fromkeys(UPWARD_CLOSED, 0)
+    for g in graphs:
+        # all four properties imply nonplanarity, so a planar g needs
+        # no minors: the reference rejects it by its own check
+        minors = one_step_minors(g) if not is_planar(g) else []
+        for prop in UPWARD_CLOSED:
+            got = is_minor_minimal_upclosed(g, prop)
+            assert got == reference_upclosed(g, prop, minors), \
+                (prop, g.sorted_edges())
+            hits[prop] += got
+    assert min(hits.values()) > 0
 
 
 def test_kuratowski_graphs_minimal_for_nonplanarity_proxies():

@@ -27,8 +27,10 @@ from minorsieve.canon import relabel_rows
 from minorsieve.generate import universe_level
 from minorsieve.graphs import Rows, edges_from_rows, rows_add_edge, \
     rows_subdivide_edge
-from minorsieve.planarity import _has_clique5, _has_k33_subgraph, \
-    _lr_planar, is_planar_rows
+from minorsieve import generate
+from minorsieve.oracles import _has_clique5
+from minorsieve.planarity import _has_k33_subgraph, _lr_memo, _lr_planar, \
+    is_planar_rows
 
 import reference_planarity
 from conftest import random_graph, to_networkx
@@ -201,6 +203,45 @@ def test_subgraph_certificates_against_networkx(reps_by_order, reps7):
             hits["K5"] += want5
             hits["K33"] += want33
     assert min(hits.values()) > 10
+
+
+def _labeled_cores(n: int):
+    """Every labeled graph of order n with minimum degree at least 3 and
+    9 <= m <= 3n - 6 edges: what reaches the certificate at order n."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        if not 9 <= mask.bit_count() <= 3 * n - 6:
+            continue
+        rows = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        if min(r.bit_count() for r in rows) >= 3:
+            yield tuple(rows)
+
+
+def test_small_cores_are_decided_by_the_k33_certificate():
+    """The lemma of the planarity module docstring: a core of at most six
+    vertices is planar iff it has no K3,3 subgraph."""
+    cores = [rows for n in (5, 6) for rows in _labeled_cores(n)]
+    assert len(cores) == 1747
+    nonplanar = 0
+    for rows in cores:
+        want = _nx_planar_rows(rows)
+        assert want == (not _has_k33_subgraph(rows)), rows
+        assert is_planar_rows(rows) == want, rows
+        nonplanar += not want
+    assert nonplanar > 0
+
+
+def test_lr_memo_is_bounded():
+    assert _lr_memo.cache_info().maxsize == 1024
+    _lr_memo.cache_clear()
+    generate.search_minor_minimal(minorsieve.Property.NC, [8])
+    info = _lr_memo.cache_info()
+    assert info.misses > 1024 and info.hits > 0
+    assert info.currsize == 1024
 
 
 def test_minor_oracle_target_validation():
