@@ -6,8 +6,9 @@ Kuratowski-minor oracle (planar iff neither a K5 nor a K3,3 minor),
 which shares no code with the left-right test, and against the kernel
 as it stood before the peel and the subgraph certificates
 (``reference_planarity``).  The oracle and ``is_planar_rows`` share the
-two subgraph certificates, which are checked against networkx subgraph
-monomorphism.
+K3,3 subgraph certificate; it and the oracle's K5 test are checked
+against networkx subgraph monomorphism, and the rule that decides small
+cores by the K3,3 test alone is checked on every labeled core it covers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from minorsieve.canon import relabel_rows
 from minorsieve.generate import universe_level
 from minorsieve.graphs import Rows, edges_from_rows, rows_add_edge, \
     rows_subdivide_edge
-from minorsieve import generate
 from minorsieve.oracles import _has_clique5
 from minorsieve.planarity import _has_k33_subgraph, _lr_memo, _lr_planar, \
     is_planar_rows
@@ -238,7 +238,7 @@ def test_small_cores_are_decided_by_the_k33_certificate():
 def test_lr_memo_is_bounded():
     assert _lr_memo.cache_info().maxsize == 1024
     _lr_memo.cache_clear()
-    generate.search_minor_minimal(minorsieve.Property.NC, [8])
+    minorsieve.search_minor_minimal(minorsieve.Property.NC, [8])
     info = _lr_memo.cache_info()
     assert info.misses > 1024 and info.hits > 0
     assert info.currsize == 1024
