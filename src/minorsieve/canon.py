@@ -143,8 +143,7 @@ class _Search:
         self.gens: list[tuple[int, ...]] = []
         self.leaves = 0
 
-    def run(self) -> None:
-        cells = _refine(self.rows, [(1 << self.n) - 1], set())
+    def run(self, cells: list[int]) -> None:
         self._node(cells, [], [], True)
 
     def _node(self, cells: list[int], perm: list[int], codes: list[int],
@@ -241,7 +240,22 @@ class _Search:
 MAX_ORDER = 255
 
 
-def _canonical(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
+def root_cells(rows: Rows) -> list[int]:
+    """The root of the canonical search: the unit partition refined to
+    equitability, as vertex masks in cell order.
+
+    Every leaf keeps the order of the root cells: a split puts its
+    pieces in the cell's place, and individualizing v puts [v] and the
+    rest of its cell there.  So the canonical permutation lists each
+    root cell in one block, the cells in order, and the canonically last
+    vertex lies in the last cell.  Automorphisms map each cell onto
+    itself, so that vertex's orbit does too.
+    """
+    return _refine(rows, [(1 << len(rows)) - 1], set())
+
+
+def _canonical(rows: Rows, cells: list[int] | None = None
+               ) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
     """One canonical search: (key, perm, discovered generators)."""
     n = len(rows)
     if n > MAX_ORDER:
@@ -251,7 +265,7 @@ def _canonical(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]
     if n == 1:
         return bytes([1]), (0,), []
     s = _Search(rows)
-    s.run()
+    s.run(root_cells(rows) if cells is None else cells)
     return _pack(n, s.best_codes), tuple(s.best_perm), s.gens
 
 
@@ -267,14 +281,18 @@ def canonical_key_rows(rows: Rows) -> bytes:
     return _canonical(rows)[0]
 
 
-def canonical_data(rows: Rows) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
+def canonical_data(rows: Rows, cells: list[int] | None = None
+                   ) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
     """(key, perm, discovered automorphism generators) in one search.
+
+    ``cells``, when given, must be ``root_cells(rows)``; the search then
+    starts from it instead of refining the root again.
 
     The generator list is not a full generating set of the automorphism
     group in general; callers may only use it for sound positive tests
     (an element listed in an orbit really is in that orbit).
     """
-    return _canonical(rows)
+    return _canonical(rows, cells)
 
 
 def _pack(n: int, codes: list[int]) -> bytes:

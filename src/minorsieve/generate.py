@@ -10,6 +10,10 @@ well defined up to automorphism, so the recovered parent is a class
 invariant, and per-parent key deduplication removes the remaining
 within-parent repeats.
 
+``_accept`` rejects a child whose new vertex is outside the last cell of
+its root refinement before any search; each parent still yields the
+same set of children, sometimes in another order (argument there).
+
 Both orbit tests, skipping a subset in the orbit of an earlier one in
 ``_expand_parent`` and accepting when the canonically last vertex is in
 the orbit of the new one in ``_accept``, use the generators the
@@ -49,10 +53,16 @@ both caches hold each level for the life of the process, and a level at
 the cap is too large to keep (12,005,168 classes at order 10), so it is
 built once, filtered as it is made, and dropped.
 
-Work is partitionable by parent: children of distinct parents never
-collide, so shards merge by one sort on the key plus a defensive check
-of adjacent keys, and results are independent of shard count and job
-count.
+Every other final level is streamed.  One task expands a chunk of at
+most ``_CHUNK`` parents, filters the children, and counts them, decides
+them or keeps their rows; it returns only the count and what it keeps.
+A count relabels nothing, and a search relabels and decides each pool
+graph in the task that made it, so either holds the parent level and
+one chunk's children per worker.  Work is partitionable by parent:
+children of distinct parents never collide, so the defensive duplicate
+check stays inside each chunk, one sort on the key at the end restores
+key order, and results are independent of chunk size, shard count and
+job count.
 """
 
 from __future__ import annotations
@@ -61,7 +71,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .canon import canonical_data, canonical_key_rows, relabel_rows
+from .canon import canonical_data, canonical_key_rows, relabel_rows, \
+    root_cells
 from .errors import ResourceLimitError
 from .graphs import Graph, Rows, rows_component_masks, rows_connected, \
     rows_delete_vertex, rows_size, rows_twin_firsts
@@ -147,13 +158,16 @@ def _twin_swaps(rows: Rows) -> list[tuple[int, ...]]:
     return swaps
 
 
-def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, Rows]]:
-    """Accepted canonical children of one canonical parent.
+def _expand_parent(parent: Rows, filt: EnumFilter | None,
+                   relabel: bool = True) -> list[tuple[bytes, Rows]]:
+    """Accepted children of one canonical parent, as (key, rows) pairs:
+    canonical rows, or with ``relabel`` False, which a count passes, the
+    rows as built.
 
     With a filter, subsets are restricted to those whose child meets
     the degree, connectivity and size constraints exactly; planarity is
     decided on the accepted child, by the parent's answer when the parent
-    is nonplanar.  Returns (key, canonical rows) pairs.
+    is nonplanar.
 
     Degree bound, tested before any labeling.  ``_accept`` keeps a child
     only if its new vertex has the child's minimum degree (see there).
@@ -238,7 +252,7 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
         accepted = _accept(child, n, parent, parent_key)
         if accepted is None:
             continue
-        key, crows = accepted
+        key, perm = accepted
         if key in seen_children:
             continue
         seen_children.add(key)
@@ -246,35 +260,38 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None) -> list[tuple[bytes, R
             if parent_planar is None:
                 parent_planar = is_planar_rows(parent)
             # a supergraph of a nonplanar parent is nonplanar
-            if (parent_planar and is_planar_rows(crows)) != want_planar:
+            if (parent_planar and is_planar_rows(child)) != want_planar:
                 continue
-        out.append((key, crows))
+        out.append((key, relabel_rows(child, perm) if relabel else child))
     return out
 
 
 def _accept(child: Rows, new: int, parent: Rows,
-            parent_key: bytes) -> tuple[bytes, Rows] | None:
+            parent_key: bytes) -> tuple[bytes, tuple[int, ...]] | None:
     """Keep the child iff deleting its canonically last vertex gives
-    back the parent class.  Fast paths: the last vertex is the new one;
-    the new vertex visibly in the last vertex's orbit.
+    back the parent class; return its key and canonical permutation.
+    Fast paths: the last vertex is the new one; the new vertex visibly
+    in the last vertex's orbit.
 
-    Pre-test, before any labeling.  ``_refine`` first splits the unit
-    partition by degree, then splits every cell by its number of
-    neighbors in the maximum-degree cell, both times in decreasing
-    order, and every later split or individualization is in place.  So
-    the canonically last vertex minimizes the pair (degree, neighbors of
-    maximum degree) over all vertices.  If some vertex has a smaller
-    pair than the new vertex, the last vertex is neither the new one nor
-    in its orbit, since automorphisms preserve the pair, and deleting it
-    cannot give back the parent:
+    Root-cell test, before any search.  The canonically last vertex y
+    and its orbit lie in the last root cell (``canon.root_cells``).  If
+    the new vertex x is outside it, y is neither x nor in x's orbit, and
+    the child G is rejected.  The slow path would still accept G when
+    G - y is the parent P as well (y pseudo-similar to x), but no class
+    is lost.  An isomorphism from G - y onto P makes G into P plus a
+    vertex x' attached to the image S' of N(y), with x' in the last root
+    cell.  The subset S', or the representative of its orbit under P's
+    automorphisms, is tried too, and its child passes: its last vertex
+    is in the orbit of x', so deleting it gives back P.  The parent thus
+    yields the same set of children; only the subset a child comes from,
+    and so the order of a parent's children, can change.
 
-    * if the degrees differ, the two deletions leave different sizes;
-    * if both have the minimum degree, the graph is not regular, so
-      neither is in the set H of maximum-degree vertices, and deleting
-      x leaves |H| - |N(x) & H| vertices of degree max; the counts
-      differ, so the degree sequences do.
-
-    On a regular graph every pair is equal and nothing is rejected.
+    Degree-pair pre-test, a cheaper reading of the first two sweeps of
+    the refinement.  ``_refine`` splits the unit partition by degree,
+    then every cell by its number of neighbors in the maximum-degree
+    cell, both times in decreasing order.  So every vertex of the last
+    root cell has the least pair (degree, neighbors of maximum degree),
+    and a new vertex with a larger pair fails the root-cell test.
     """
     degrees = [r.bit_count() for r in child]
     top = max(degrees)
@@ -285,10 +302,13 @@ def _accept(child: Rows, new: int, parent: Rows,
     pairs = [(dv, (r & hub).bit_count()) for dv, r in zip(degrees, child)]
     if min(pairs) < pairs[new]:
         return None
-    key, perm, gens = canonical_data(child)
+    cells = root_cells(child)
+    if not cells[-1] >> new & 1:
+        return None
+    key, perm, gens = canonical_data(child, cells)
     last = perm[-1]
     if last == new:
-        return key, relabel_rows(child, perm)
+        return key, perm
     gens = gens + _twin_swaps(child)
     if gens:
         orbit = {new}
@@ -301,14 +321,14 @@ def _accept(child: Rows, new: int, parent: Rows,
                     orbit.add(img)
                     stack.append(img)
         if last in orbit:
-            return key, relabel_rows(child, perm)
+            return key, perm
     reduced = rows_delete_vertex(child, last)
     if sorted(r.bit_count() for r in reduced) != \
             sorted(r.bit_count() for r in parent):
         return None
     if canonical_key_rows(reduced) != parent_key:
         return None
-    return key, relabel_rows(child, perm)
+    return key, perm
 
 
 # ---------------------------------------------------------------------------
@@ -325,53 +345,88 @@ def universe_level(n: int, jobs: int = 1) -> list[Rows]:
         raise ValueError("universe levels start at order 1")
     level = _UNIVERSE.get(n)
     if level is None:
-        level = _UNIVERSE[n] = _expand_level(n, None, jobs)
+        level = _UNIVERSE[n] = _expand_level(n, None, jobs)[1]
     return level
 
 
-def _expand_chunk(args: tuple[list[Rows], EnumFilter | None]) -> list[tuple[bytes, Rows]]:
-    parents, filt = args
-    out: list[tuple[bytes, Rows]] = []
-    for parent in parents:
-        out.extend(_expand_parent(parent, filt))
-    return out
+#: most parents in one chunk of a level; a chunk's children are held at
+#: once, so this bounds the buffers of a streamed level at any ``jobs``
+_CHUNK = 64
 
 
 def _chunked(items: list, jobs: int) -> list[list]:
-    """Four pieces per worker, so uneven pieces still drain evenly."""
+    """Four pieces per worker, so uneven pieces still drain evenly, and
+    at most ``_CHUNK`` items per piece."""
     workers = worker_count(jobs, len(items))
-    if workers == 1:
-        return [items]
-    span = -(-len(items) // (4 * workers))
+    pieces = 4 * workers if workers > 1 else 1
+    span = max(1, min(_CHUNK, -(-len(items) // pieces)))
     return [items[i:i + span] for i in range(0, len(items), span)]
 
 
+def _expand_chunk(args: tuple[list[Rows], EnumFilter | None, bool]
+                  ) -> list[tuple[bytes, Rows]]:
+    parents, filt, relabel = args
+    return [pair for parent in parents
+            for pair in _expand_parent(parent, filt, relabel)]
+
+
+def _level_task(args: tuple[list[Rows], EnumFilter | None, Property | bool]
+                ) -> tuple[int, list[tuple[bytes, Rows]]]:
+    """Expand one chunk of parents: the number of accepted children,
+    and the (key, canonical rows) of those that ``keep`` names (see
+    ``_final_pairs``).  A count relabels no child."""
+    parents, filt, keep = args
+    pairs = _expand_chunk((parents, filt, keep is not False))
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise RuntimeError("duplicate canonical forms in one "
+                           "enumeration chunk")
+    count = len(pairs)
+    if keep is False:
+        return count, []
+    if keep is not True:
+        pairs = [(key, rows) for key, rows in pairs
+                 if is_minor_minimal(Graph.from_rows(rows), keep)]
+    return count, pairs
+
+
 def _expand_level(n: int, filt: EnumFilter | None, jobs: int,
-                  shard: int = 0, shards: int = 1) -> list[Rows]:
-    """Canonical rows of the accepted children of every ``shards``-th
-    order-(n - 1) parent from ``shard`` on, in canonical key order."""
+                  shard: int = 0, shards: int = 1,
+                  keep: Property | bool = True) -> tuple[int, list[Rows]]:
+    """Stream the accepted children of every ``shards``-th order-(n - 1)
+    parent from ``shard`` on (see the module docstring): their number,
+    and the canonical rows of those ``keep`` names, in key order."""
     parents = universe_level(n - 1, jobs)[shard::shards]
-    chunks = _chunked(parents, jobs)
-    pairs = [pair for part in parallel_map(
-        _expand_chunk, [(c, filt) for c in chunks], jobs) for pair in part]
-    pairs.sort()
-    for (a, _), (b, _) in zip(pairs, pairs[1:]):
-        if a == b:
-            raise RuntimeError("duplicate canonical forms across "
-                               "enumeration shards")
-    return [rows for _, rows in pairs]
+    tasks = [(chunk, filt, keep) for chunk in _chunked(parents, jobs)]
+    count = 0
+    kept: list[tuple[bytes, Rows]] = []
+    for size, part in parallel_map(_level_task, tasks, jobs):
+        count += size
+        kept.extend(part)
+    kept.sort()
+    return count, [rows for _, rows in kept]
+
+
+def _decide_chunk(args: tuple[Property, list[Rows]]) -> list[Rows]:
+    prop, pool = args
+    return [rows for rows in pool
+            if is_minor_minimal(Graph.from_rows(rows), prop)]
 
 
 def _final_pairs(filt: EnumFilter, jobs: int = 1,
                  max_order: int = MAX_ENUM_ORDER, shard: int = 0,
-                 shards: int = 1) -> list[Rows]:
-    """Canonical rows of the final level in key order, restricted to
-    the children of every ``shards``-th parent from ``shard`` on.
+                 shards: int = 1, keep: Property | bool = True
+                 ) -> tuple[int, list[Rows]]:
+    """The size of the final level, restricted to the children of every
+    ``shards``-th parent from ``shard`` on, and the canonical rows of
+    the members ``keep`` names, in key order: every member for True,
+    none for False, the minor-minimal ones for a ``Property``.
 
-    The name is older than the return type (rows, no keys); it stays
-    because the benchmark's tracer hooks this function to count final
-    levels.  A planarity-only filter below ``MAX_ENUM_ORDER`` is served
-    from the universe level and its flags (see the module docstring).
+    The name is older than the return type; it stays because the
+    benchmark's tracer hooks this function to count final levels.  A
+    planarity-only filter below ``MAX_ENUM_ORDER`` is served from the
+    universe level and its flags (see the module docstring), and its
+    members are decided in chunks of the pool; every other level is
+    streamed by ``_expand_level``.
     """
     n = filt.order
     if n > max_order:
@@ -379,20 +434,26 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
             f"enumeration capped at order {max_order}; asked for {n}"
         )
     worker_count(jobs, 1)  # rejects jobs < 1 here too, where no map runs
+    cached = shards == 1 and n < MAX_ENUM_ORDER and \
+        filt == EnumFilter(order=n, planarity=filt.planarity)
+    if n > 1 and not cached:
+        return _expand_level(n, filt, jobs, shard, shards, keep)
     if n == 1:
-        rows: Rows = (0,)
-        return [rows] if shard == 0 and filt.admits(rows) else []
-    if shards == 1 and n < MAX_ENUM_ORDER and \
-            filt == EnumFilter(order=n, planarity=filt.planarity):
+        pool: list[Rows] = [(0,)] if shard == 0 and filt.admits((0,)) else []
+    elif filt.planarity == "all":
+        pool = universe_level(n, jobs)
+    else:
         level = universe_level(n, jobs)
-        if filt.planarity == "all":
-            return level
         want = filt.planarity == "planar"
         flags = _PLANAR.get(n)
         if flags is None:
             flags = _PLANAR[n] = [is_planar_rows(rows) for rows in level]
-        return [rows for rows, p in zip(level, flags) if p == want]
-    return _expand_level(n, filt, jobs, shard, shards)
+        pool = [rows for rows, p in zip(level, flags) if p == want]
+    if isinstance(keep, bool):
+        return len(pool), pool if keep else []
+    parts = parallel_map(_decide_chunk,
+                         [(keep, c) for c in _chunked(pool, jobs)], jobs)
+    return len(pool), [rows for part in parts for rows in part]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +463,7 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
 def enumerate_graphs(filt: EnumFilter, jobs: int = 1,
                      max_order: int = MAX_ENUM_ORDER) -> Iterator[Graph]:
     """One canonical representative per isomorphism class, key order."""
-    for rows in _final_pairs(filt, jobs, max_order):
+    for rows in _final_pairs(filt, jobs, max_order)[1]:
         yield Graph.from_rows(rows)
 
 
@@ -413,7 +474,7 @@ def generate_graphs(filt: EnumFilter, jobs: int = 1,
 
 def count_graphs(filt: EnumFilter, jobs: int = 1,
                  max_order: int = MAX_ENUM_ORDER) -> int:
-    return len(_final_pairs(filt, jobs, max_order))
+    return _final_pairs(filt, jobs, max_order, keep=False)[0]
 
 
 def enumerate_partition(filt: EnumFilter, shard: int, shards: int,
@@ -424,7 +485,7 @@ def enumerate_partition(filt: EnumFilter, shard: int, shards: int,
     if not 0 <= shard < shards:
         raise ValueError("need 0 <= shard < shards")
     return [Graph.from_rows(rows)
-            for rows in _final_pairs(filt, 1, max_order, shard, shards)]
+            for rows in _final_pairs(filt, 1, max_order, shard, shards)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +512,6 @@ class SearchReport:
         return hist
 
 
-def _decide_chunk(args: tuple[str, list[Rows]]) -> list[Rows]:
-    prop_value, pool = args
-    prop = Property(prop_value)
-    return [rows for rows in pool
-            if is_minor_minimal(Graph.from_rows(rows), prop)]
-
-
 def search_minor_minimal(prop: Property, orders: Iterable[int],
                          min_degree: int = 0, connected: bool = False,
                          jobs: int = 1,
@@ -481,13 +535,9 @@ def search_minor_minimal(prop: Property, orders: Iterable[int],
     for order in order_list:
         filt = EnumFilter(order=order, min_degree=min_degree,
                           connected=connected, planarity=planarity)
-        pool = _final_pairs(filt, jobs, max_order)
-        scanned += len(pool)
-        chunks = _chunked(pool, jobs)
-        results = parallel_map(_decide_chunk,
-                               [(prop.value, c) for c in chunks], jobs)
-        for part in results:
-            hits.extend(part)
+        count, minimal = _final_pairs(filt, jobs, max_order, keep=prop)
+        scanned += count
+        hits.extend(minimal)
     found = tuple(Graph.from_rows(rows) for rows in hits)
     return SearchReport(
         prop=prop, orders=order_list, min_degree=min_degree,

@@ -96,3 +96,23 @@ def test_changed_output_is_written_and_exits_one(outs, tmp_path, capsys):
     assert doc["workloads"]["claims"]["digests"]["identical"]
     err = capsys.readouterr().err
     assert "enum9" in err and "claims" not in err
+
+
+def test_regression_past_the_bound_is_named_and_keeps_exit_zero(
+        outs, tmp_path, capsys):
+    """claims wall_s 3.0 -> 3.9 is 30% worse, past its 0.25 bound; its
+    items_per_s falls by 23%, inside the bound."""
+    parent, change = outs
+    _write(change, "claims", 1, [_rep(3.9, "dc")], 390)
+    target = tmp_path / "BENCH.json"
+    assert bench_file.main(["--pr", "9", "--parent", str(parent),
+                            "--change", str(change),
+                            "--output", str(target)]) == 0
+    doc = json.loads(target.read_text())
+    assert doc["regressions"] == ["claims wall_s", "claims cpu_s"]
+    metrics = doc["workloads"]["claims"]["metrics"]
+    assert metrics["wall_s"]["regressed"]
+    assert not metrics["items_per_s"]["regressed"]
+    assert not doc["workloads"]["enum9"]["metrics"]["wall_s"]["regressed"]
+    err = capsys.readouterr().err
+    assert "claims wall_s" in err and "enum9" not in err

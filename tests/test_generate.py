@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from minorsieve import EnumFilter, Property, build_named, canonical_key, \
+from minorsieve import EnumFilter, Graph, Property, build_named, \
+    canonical_key, is_minor_minimal, \
     count_graphs, enumerate_graphs, enumerate_partition, generate_graphs, \
     search_minor_minimal
 from minorsieve import generate
@@ -151,14 +152,14 @@ def _expanded(filt: EnumFilter) -> list:
     """The final level by canonical augmentation under the filter."""
     if filt.order == 1:
         return [(0,)] if filt.admits((0,)) else []
-    return generate._expand_level(filt.order, filt, 1)
+    return generate._expand_level(filt.order, filt, 1)[1]
 
 
 @pytest.mark.parametrize("planarity", ("all", "planar", "nonplanar"))
 def test_universe_path_equals_expansion(planarity):
     for order in range(1, 9):
         filt = EnumFilter(order=order, planarity=planarity)
-        assert generate._final_pairs(filt) == _expanded(filt), order
+        assert generate._final_pairs(filt)[1] == _expanded(filt), order
 
 
 def test_parallel_universe_equals_serial(monkeypatch):
@@ -193,9 +194,9 @@ def test_level_planarity_is_tested_once(monkeypatch):
 
     monkeypatch.setattr(generate, "_PLANAR", {})
     monkeypatch.setattr(generate, "is_planar_rows", counting)
-    pools = {p: generate._final_pairs(EnumFilter(order=7, planarity=p))
+    pools = {p: generate._final_pairs(EnumFilter(order=7, planarity=p))[1]
              for p in ("planar", "nonplanar")}
-    again = generate._final_pairs(EnumFilter(order=7, planarity="planar"))
+    again = generate._final_pairs(EnumFilter(order=7, planarity="planar"))[1]
     assert tested == level  # each member once, over all three requests
     for p, pool in pools.items():
         assert pool == [rows for rows in level
@@ -217,6 +218,54 @@ def test_search_found_in_key_order():
     keys = [canonical_key(g) for g in report.found]
     assert keys == sorted(set(keys))
     assert len(keys) > 1
+
+
+# ---------------------------------------------------------------------------
+# streamed final levels
+# ---------------------------------------------------------------------------
+
+def _one_shot(filt: EnumFilter) -> list:
+    """The final level built whole: every parent's children, sorted by
+    key."""
+    pairs = [pair for parent in generate.universe_level(filt.order - 1)
+             for pair in generate._expand_parent(parent, filt)]
+    return [rows for _, rows in sorted(pairs)]
+
+
+def test_stream_equals_one_shot(monkeypatch):
+    """Streamed counts and searches, three parents to a chunk, at one
+    and two workers, against the whole level counted and decided."""
+    monkeypatch.setattr(generate, "_CHUNK", 3)
+    for prop, min_degree, connected in ((Property.NE, 3, False),
+                                        (Property.NC, 4, True)):
+        pools = {order: _one_shot(EnumFilter(
+            order, min_degree=min_degree, connected=connected,
+            planarity="nonplanar")) for order in range(2, 9)}
+        hits = [rows for order in range(2, 9) for rows in pools[order]
+                if is_minor_minimal(Graph.from_rows(rows), prop)]
+        for jobs in (1, 2):
+            for order, pool in pools.items():
+                filt = EnumFilter(order, min_degree=min_degree,
+                                  connected=connected, planarity="nonplanar")
+                assert count_graphs(filt, jobs) == len(pool), (order, jobs)
+            report = search_minor_minimal(prop, range(2, 9), min_degree,
+                                          connected, jobs)
+            assert report.scanned == sum(map(len, pools.values()))
+            assert [g.rows() for g in report.found] == hits, (prop, jobs)
+        assert hits
+
+
+def test_count_never_relabels(monkeypatch):
+    filt = EnumFilter(order=7, min_degree=2, connected=True,
+                      planarity="nonplanar")
+    want = len(_one_shot(filt))
+
+    def relabel(rows, perm):
+        raise AssertionError("a count relabeled a child")
+
+    monkeypatch.setattr(generate, "relabel_rows", relabel)
+    for jobs in (1, 2):
+        assert count_graphs(filt, jobs) == want > 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ counts.  Per-run values are recomputed from the repetitions as
 ``run.py`` does; ``setup_s`` is the median over the repetitions only,
 because the seven set-up probe interpreters are not in the detail line.
 
+The file also lists, under ``regressions``, each workload and metric
+whose change median is worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json``, a fraction of the parent's median, and
+names them on stderr; they leave the exit status as it is.
+
 The file is written in any case; the exit status is then 1, with each
 workload named on stderr, when the parent's and the change's output
 digests of some workload differ.
@@ -83,12 +88,15 @@ def _workload(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
         before = [p for p, _ in got]
         after = [c for _, c in got]
         lower = spec["better"] == "lower"
+        ratio = statistics.median(after) / statistics.median(before)
         out["metrics"][name] = {
             "unit": spec["unit"], "better": spec["better"],
             "parent": _summary(before), "change": _summary(after),
-            "ratio": statistics.median(after) / statistics.median(before),
+            "ratio": ratio,
             "wins": sum((c < p) if lower else (c > p) for p, c in got),
             "pairs": len(got),
+            "regressed": (ratio - 1 if lower else 1 - ratio)
+            > spec.get("bound", float("inf")),
         }
     for side, index in (("parent", 1), ("change", 2)):
         out.setdefault("digests", {})[side] = sorted(
@@ -129,6 +137,10 @@ def build(pr: int, parent_dir: Path, change_dir: Path) -> dict:
         envs = {json.dumps(d["environment"], sort_keys=True)
                 for d in runs.values()}
         doc["environment"][side] = [json.loads(e) for e in sorted(envs)]
+    doc["regressions"] = [f"{w} {name}"
+                          for w, runs in doc["workloads"].items()
+                          for name, m in runs["metrics"].items()
+                          if m["regressed"]]
     doc["src_lines"] = {side: sorted({e["src_lines"] for e in envs})
                         for side, envs in doc["environment"].items()}
     return doc
@@ -157,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
         args.output.write_text(text)
     else:
         sys.stdout.write(text)
+    if doc["regressions"]:
+        print("worse than the parent's by more than the bound: "
+              f"{', '.join(doc['regressions'])}", file=sys.stderr)
     changed = [w for w, runs in doc["workloads"].items()
                if not runs["digests"]["identical"]]
     if changed:
