@@ -51,7 +51,9 @@ and ``_PLANAR`` keeps each member's planarity from the first planar or
 nonplanar request on.  The rule applies only below ``MAX_ENUM_ORDER``:
 both caches hold each level for the life of the process, and a level at
 the cap is too large to keep (12,005,168 classes at order 10), so it is
-built once, filtered as it is made, and dropped.
+built once, filtered as it is made, and dropped.  A count streams too,
+unless the level is cached already: a streamed count relabels no child
+and holds one chunk, where caching the level would keep all of it.
 
 Every other final level is streamed.  One task expands a chunk of at
 most ``_CHUNK`` parents, filters the children, and counts them, decides
@@ -425,8 +427,9 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
     benchmark's tracer hooks this function to count final levels.  A
     planarity-only filter below ``MAX_ENUM_ORDER`` is served from the
     universe level and its flags (see the module docstring), and its
-    members are decided in chunks of the pool; every other level is
-    streamed by ``_expand_level``.
+    members are decided in chunks of the pool, except for a count whose
+    level is not cached yet; every other level is streamed by
+    ``_expand_level``.
     """
     n = filt.order
     if n > max_order:
@@ -435,7 +438,8 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
         )
     worker_count(jobs, 1)  # rejects jobs < 1 here too, where no map runs
     cached = shards == 1 and n < MAX_ENUM_ORDER and \
-        filt == EnumFilter(order=n, planarity=filt.planarity)
+        filt == EnumFilter(order=n, planarity=filt.planarity) and \
+        (keep is not False or n in _UNIVERSE)
     if n > 1 and not cached:
         return _expand_level(n, filt, jobs, shard, shards, keep)
     if n == 1:

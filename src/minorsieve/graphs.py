@@ -34,14 +34,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def rows_from_edges(order: int, edges: Iterable[Edge]) -> Rows:
-    rows = [0] * order
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return tuple(rows)
-
-
 def edges_from_rows(rows: Rows) -> list[Edge]:
     """Edges (u, v), u < v, in lexicographic order."""
     out = []

@@ -10,23 +10,22 @@ proper minor does.  Three deciders cover the eight properties:
   as canonical ones and ``_twin_minors`` needs no canonical search.
 
 * ``is_mmne`` and ``is_mmnc`` handle NE and NC, which lack that closure
-  (deleting an edge can make a graph NE that was not, and dually).  They
-  walk a pruned closure instead.  For NE: test every single edge
-  deletion, then walk the contraction closure of the graph itself,
-  discarding planar graphs and canonical repeats; the graph is minimal
-  iff no walked member and no deletion is NE.  Completeness rests on
-  two facts.  Any minor normalizes to contractions followed by edge
-  deletions, with vertex deletions traded for edge deletions that leave
-  isolated husks (harmless to NE and NC, which ignore isolated
-  vertices).  And "planar or has a planarizing edge deletion" is closed
-  under edge deletion, so if any (g/C) - D is NE then g/C itself is NE,
-  already a walked member when C is nonempty; when C is empty the same
-  fact applied below a single deletion shows some g - e is NE.  The NC
-  sieve mirrors this exactly: test single contractions, walk the
-  deletion closure, using closure of "planar or has a planarizing
-  contraction" under contraction.  The one case the normal form cannot
-  reach, a minor obtained only by dropping an isolated vertex, is
-  handled up front by the minimum-degree fact below.
+  (deleting an edge can make a graph NE that was not, and dually).  For
+  NE: test every single edge deletion, then search the contraction
+  closure of the graph itself (its nonplanar proper contractions); the
+  graph is minimal iff no deletion and no closure member is NE.
+  Completeness rests on two facts.  Any minor normalizes to contractions
+  followed by edge deletions, with vertex deletions traded for edge
+  deletions that leave isolated husks (harmless to NE and NC, which
+  ignore isolated vertices).  And "planar or has a planarizing edge
+  deletion" is closed under edge deletion, so if any (g/C) - D is NE
+  then g/C itself is NE, a closure member when C is nonempty; when C is
+  empty the same fact applied below a single deletion shows some g - e
+  is NE.  The NC sieve mirrors this exactly: test single contractions,
+  search the deletion closure, using closure of "planar or has a
+  planarizing contraction" under contraction.  The one case the normal
+  form cannot reach, a minor obtained only by dropping an isolated
+  vertex, is handled up front by the minimum-degree fact below.
 
 * ``is_minor_minimal_exhaustive`` is the slow oracle: the full closure
   under vertex deletion, edge deletion and edge contraction, with no
@@ -34,8 +33,8 @@ proper minor does.  Three deciders cover the eight properties:
   nonplanarity.  It exists to gate the fast deciders in tests and to
   serve AN and CAN, which sit inside planarity and get no closure help.
 
-All walks count distinct members against a cap; hitting the cap raises
-instead of truncating.
+The exhaustive walk counts distinct members against a cap, and so does
+the pivot walk below; hitting the cap raises instead of truncating.
 
 Two degree facts (``_degree_violations``) decide many graphs before any
 planarity test; ``mmne_structure_violations`` reports the same two.
@@ -59,35 +58,35 @@ planarity test; ``mmne_structure_violations`` reports the same two.
 The reference deciders of ``tests/test_closure_walk.py`` use neither
 fact, so they check both.
 
-The NE/NC walk recomputes no answer the walk already implies.  Three
-rules keep its members, their order and its stopping point exactly those
-of the plain walk that tests and labels every child:
+The NE/NC closure is searched by a pivot walk, which needs no canonical
+labeling.  Two lemmas make it sound.  In both, h is nonplanar and the
+scan (deletion for NE, contraction for NC) has found an edge f that
+planarizes h.
 
-* Inherited planar answers.  Every member carries two edge sets, as
-  rows: the edges whose step (contraction for NE, deletion for NC)
-  planarizes it, and the edges whose scan operation (deletion for NE,
-  contraction for NC) does.  A child is a minor of its parent, and
-  applying an operation to the image of an edge gives a minor of the
-  result of applying it to the edge itself: the two operations commute,
-  and where a contraction merges two edges, removing the merged edge
-  removes both.  Planarity is closed under minors, so the image of each
-  set under the step that made the child, computed by the same
-  ``rows_delete_edge``/``rows_contract_edge`` call on the set's rows, is
-  a set of edges of the child that planarize it.  A known step skips its
-  child without a planarity test; a member whose inherited scan set is
-  nonempty is not NE/NC without one.  Otherwise the member runs the scan,
-  and the hit it returns joins its set.
-* No known re-tests.  A member has passed the nonplanarity filter, so
-  only the scan half of NE/NC is open for it.  The seeds g - e (NE) and
-  g / e (NC) are nonplanar because g itself is NE or NC, so they too go
-  straight to the scan.
-* Per-level deduplication.  Each step removes an edge (deletion) or a
-  vertex (contraction), so members of different levels differ in size or
-  order and are never isomorphic.  The canonical keys seen, and the exact
-  labeled children met, are therefore kept for one level only.  A
-  labeled child met before on its level was then either planar or a
-  repeat, so it is skipped before any planarity test or labeling; two
-  orders of the same steps often give the same labeled rows.
+* NC.  Let h / f be planar, and take any h - D with f not in D.  Then
+  (h - D) / f is a minor of h / f, so it is planar, and h - D is not NC.
+  So every NC graph in h's deletion closure is h itself or lies in the
+  closure of h - f.
+* NE.  Let h - f be planar, and take a contraction h / C that keeps f as
+  an edge f', possibly merged with parallel edges F.  Then
+  (h / C) - f' = (h - F) / C, a minor of h - f, so it is planar and h / C
+  is not NE.  If C identifies the ends of f, then h / C = h / (C + f),
+  which lies in the closure of h / f.  So every NE graph in h's
+  contraction closure is h itself or lies in the closure of h / f.
+
+Every proper member lies in the closure of step(g, e) for some edge e of
+the root g (step: contraction for NE, deletion for NC), so each root
+edge starts one chain: cur = step(g, e); stop if cur is planar (its
+whole closure is) or met before in this decision (its chain ran
+already); otherwise scan cur, report a hit if the scan finds nothing
+(cur is NE/NC), and else pivot, cur = step(cur, f).  Each step removes a
+vertex (NE) or an edge (NC), so a chain is at most n (NE) or m (NC)
+steps long.  A scanned member is nonplanar, so it keeps at least five
+vertices and nine edges, and the root has minimum degree two, so
+m >= n: a chain scans at most m - 5 members, and a decision, root check
+and seeds included, at most 1 + m + m (m - 5) <= m * m.  The labeled
+rows met are kept in one set per decision; the member cap counts the
+distinct nonplanar ones, the root included.
 """
 
 from __future__ import annotations
@@ -97,9 +96,8 @@ from typing import Iterator
 from .canon import canonical_data, canonical_key, canonical_key_rows, \
     relabel_rows
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows, edges_from_rows, rows_add_edge, \
-    rows_contract_edge, rows_delete_edge, rows_delete_vertex, \
-    rows_twin_firsts
+from .graphs import Graph, Rows, edges_from_rows, rows_contract_edge, \
+    rows_delete_edge, rows_delete_vertex, rows_twin_firsts
 from .planarity import is_planar_rows
 from .properties import Property, UPWARD_CLOSED, check, \
     first_planar_contraction, first_planar_edge_deletion, \
@@ -178,64 +176,32 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
                    for m in dict.fromkeys(_twin_minors(g.rows())))
 
 
-def _closure_walk(rows: Rows, step, scan, max_members: int,
-                  label: str) -> bool:
-    """True iff some proper member of the walk has no planarizing edge
-    under the scan's operation (the member is NE or NC).
+def _pivot_walk(rows: Rows, step, scan, max_members: int,
+                label: str) -> bool:
+    """True iff some proper member of the closure of ``rows`` under
+    ``step(cur, u, v)`` is nonplanar with no planarizing edge under the
+    scan's operation (the member is NE or NC).
 
-    ``step(cur, u, v)`` produces the child for edge (u, v); ``scan`` is
-    the first-planarizing-edge finder of the other operation.  Planar
-    children are dropped without expansion: both walks move along minor
-    operations, so everything below a planar member is planar and NE
-    and NC are out of reach there.  Each member carries two edge sets as
-    rows, the edges its step and its scan operation are known to
-    planarize, and hands their images under its step to its children;
-    the module docstring gives the rules that make this sound.
+    One chain per root edge, each pivoting on the scan's hit; the module
+    docstring proves that no other member needs a visit.
     """
-    empty = (0,) * len(rows)
-    frontier = [(rows, empty, empty)]
+    seen: set[Rows] = set()
     members = 1  # the root
-    while frontier:
-        grown = []
-        visited: set[bytes] = set()
-        seen: dict[Rows, bool] = {}  # this level's labeled children -> planar
-        for cur, planar_steps, planar_scans in frontier:
-            known = list(planar_steps)
-            made = []
-            for u, v in edges_from_rows(cur):
-                if known[u] >> v & 1:
-                    continue
-                child = step(cur, u, v)
-                planar = seen.get(child)
-                met = planar is not None
-                if not met:
-                    planar = seen[child] = is_planar_rows(child)
-                if planar:
-                    known[u] |= 1 << v
-                    known[v] |= 1 << u
-                    continue
-                if met:
-                    continue  # labeled before on this level
-                key = canonical_key_rows(child)
-                if key in visited:
-                    continue
-                visited.add(key)
-                members += 1
-                if members > max_members:
-                    raise ResourceLimitError(
-                        f"{label} sieve exceeded {max_members} members"
-                    )
-                scans = step(planar_scans, u, v)
-                if not any(scans):
-                    hit = scan(child)
-                    if hit is None:
-                        return True
-                    scans = rows_add_edge(scans, *hit)
-                made.append((child, u, v, scans))
-            known = tuple(known)
-            grown.extend((child, step(known, u, v), scans)
-                         for child, u, v, scans in made)
-        frontier = grown
+    for u, v in edges_from_rows(rows):
+        cur = step(rows, u, v)
+        while cur not in seen:
+            seen.add(cur)
+            if is_planar_rows(cur):
+                break
+            members += 1
+            if members > max_members:
+                raise ResourceLimitError(
+                    f"{label} sieve exceeded {max_members} members"
+                )
+            hit = scan(cur)
+            if hit is None:
+                return True
+            cur = step(cur, *hit)
     return False
 
 
@@ -265,8 +231,8 @@ def is_mmne(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
         # g - e is nonplanar because g is NE; only the scan is open
         if first_planar_edge_deletion(rows_delete_edge(rows, u, v)) is None:
             return False
-    return not _closure_walk(rows, rows_contract_edge,
-                             first_planar_edge_deletion, max_members, "NE")
+    return not _pivot_walk(rows, rows_contract_edge,
+                           first_planar_edge_deletion, max_members, "NE")
 
 
 def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
@@ -278,8 +244,8 @@ def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
         # g / e is nonplanar because g is NC; only the scan is open
         if first_planar_contraction(rows_contract_edge(rows, u, v)) is None:
             return False
-    return not _closure_walk(rows, rows_delete_edge,
-                             first_planar_contraction, max_members, "NC")
+    return not _pivot_walk(rows, rows_delete_edge,
+                           first_planar_contraction, max_members, "NC")
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 import networkx as nx
 import pytest
 
 from minorsieve import EnumFilter, Graph, generate_graphs
+from minorsieve.graphs import Edge, Rows
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -21,6 +23,15 @@ def from_networkx(h: nx.Graph) -> Graph:
     index = {v: i for i, v in enumerate(sorted(h.nodes, key=repr))}
     return Graph(h.number_of_nodes(),
                  [(index[u], index[v]) for u, v in h.edges])
+
+
+def rows_from_edges(order: int, edges: Iterable[Edge]) -> Rows:
+    """Adjacency rows of the graph on 0..order-1 with these edges."""
+    rows = [0] * order
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
 
 
 def random_graph(rng: random.Random, order: int,

@@ -11,10 +11,9 @@ from minorsieve import EnumFilter, Graph, Property, build_named, \
     count_graphs, enumerate_graphs, enumerate_partition, generate_graphs, \
     search_minor_minimal
 from minorsieve import generate
-from minorsieve.graphs import rows_from_edges
 from minorsieve.planarity import is_planar_rows
 
-from conftest import random_graph
+from conftest import random_graph, rows_from_edges
 
 # unlabeled simple graphs on n vertices (OEIS A000088)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -182,6 +181,20 @@ def test_cap_order_never_enters_the_universe(monkeypatch):
     assert max(generate._UNIVERSE) < 6
     assert count_graphs(EnumFilter(order=5, planarity="nonplanar")) == 1
     assert list(generate._PLANAR) == [5]
+
+
+def test_fresh_count_streams(monkeypatch):
+    """A count of a planarity-only level that is not cached yet streams
+    it: the same count as the cached level gives, and the level itself
+    is never cached."""
+    want = {(n, p): generate._final_pairs(EnumFilter(n, planarity=p))[0]
+            for n in range(1, 9) for p in ("planar", "nonplanar")}
+    monkeypatch.setattr(generate, "_UNIVERSE", {1: [(0,)]})
+    monkeypatch.setattr(generate, "_PLANAR", {})
+    for (n, p), count in want.items():
+        assert count_graphs(EnumFilter(n, planarity=p)) == count, (n, p)
+        assert n == 1 or n not in generate._UNIVERSE, (n, p)
+    assert want[7, "nonplanar"] == NONPLANAR_COUNTS[7]
 
 
 def test_level_planarity_is_tested_once(monkeypatch):

@@ -8,9 +8,9 @@ import pytest
 
 from minorsieve import Graph, disjoint_union, one_vertex_union, \
     two_vertex_union
-from minorsieve.graphs import edges_from_rows, rows_from_edges
+from minorsieve.graphs import edges_from_rows
 
-from conftest import random_graph
+from conftest import random_graph, rows_from_edges
 
 
 def test_complete_graph_counts():
