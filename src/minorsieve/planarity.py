@@ -29,6 +29,24 @@ stages, each exact, and stops at the first that decides:
    its answers for the last 1,024 distinct cores: the walks and scans of
    one decision meet the same core through different minors.
 
+``nonplanar_witness`` runs the same stages and, for a nonplanar graph,
+returns the edge mask (bit u*n + v, u < v) of a Kuratowski subdivision
+in it, or 0 when the edge counts or the left-right test decide.  For it
+alone, the peel records the path that each core edge stands for: a
+suppression joins the two paths at v into the path of xy, or drops both
+when xy is an edge, so live paths are internally disjoint with inner
+vertices outside the core, and the paths of a core subgraph form a
+subdivision of it.  And on cores of seven or more vertices a contraction
+certificate runs before stage 4: an edge uv and vertices a, b outside it
+that share three neighbors c1, c2, c3 outside {u, v} with the merged
+vertex w = {u, v} form a K3,3 in the core contracted along uv.  Join
+each ci to u if adjacent, else to v.  Stage 3 found no K3,3 subgraph
+such as {a, b, u} | {c1, c2, c3}, so one end x takes two and the other
+end y one, ci: the path x-y-ci replaces w ci, y is on no other path,
+and with uv the nine paths form a K3,3 subdivision.  Both cost the
+boolean callers more than they save, so ``is_planar_rows`` keeps them
+off.
+
 The independent checks of this test (the K5 / K3,3 minor walk and the
 Kuratowski witness) live in the oracles module.
 """
@@ -37,30 +55,56 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, Rows
+from .graphs import Graph, Rows, bits
 
-__all__ = ["is_planar", "is_planar_rows"]
+__all__ = ["is_planar", "is_planar_rows", "nonplanar_witness"]
 
 
 def is_planar_rows(rows: Rows) -> bool:
+    return _decide(rows, False) is None
+
+
+def nonplanar_witness(rows: Rows) -> int | None:
+    """None iff ``rows`` is planar; otherwise the edge mask of a Kuratowski
+    subdivision in ``rows``, or 0 (see the module docstring)."""
+    return _decide(rows, True)
+
+
+def _decide(rows: Rows, witness: bool) -> int | None:
+    """The stages: None when planar, else a mask (0 unless ``witness``)."""
     degrees = [r.bit_count() for r in rows]
     m = sum(degrees) // 2
     if m <= 8:
-        return True
-    n = len(rows)
+        return None
+    n = order = len(rows)
     if m > 3 * n - 6:
-        return False
+        return 0
+    keep, paths = None, {} if witness else None
     if min(degrees) <= 2:
-        rows = _peel(rows, degrees)
+        rows, keep = _peel(rows, degrees, paths)
         n = len(rows)
         m = sum(r.bit_count() for r in rows) // 2
         if m <= 8:
-            return True
+            return None
         if m > 3 * n - 6:
-            return False
-    if _has_k33_subgraph(rows):
-        return False
-    return n <= 6 or _lr_memo(rows)  # small cores: module docstring
+            return 0
+    k33 = _has_k33_subgraph(rows)
+    if k33 and not witness:
+        return 0
+    if k33:
+        edges = [(x, y) for x in k33[:3] for y in list(bits(k33[3]))[:3]]
+    elif n <= 6:
+        return None  # small cores: module docstring
+    else:
+        edges = witness and _contracted_k33(rows)
+        if not edges:
+            return None if _lr_memo(rows) else 0
+    mask = 0  # the paths that the core edges stand for
+    for i, j in edges:
+        i, j = (keep[i], keep[j]) if keep else (i, j)
+        e = 1 << (i * order + j if i < j else j * order + i)
+        mask |= paths.get(e, e)
+    return mask
 
 
 def is_planar(g: Graph) -> bool:
@@ -73,12 +117,14 @@ def _lr_memo(rows: Rows) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# peel and subgraph certificate
+# peel and subgraph certificates
 # ---------------------------------------------------------------------------
 
-def _peel(rows: Rows, degrees: list[int]) -> Rows:
-    """Rows of the graph with every vertex of degree at most two peeled
-    off (see the module docstring), isolated vertices dropped."""
+def _peel(rows: Rows, degrees: list[int],
+          paths: dict[int, int] | None) -> tuple[Rows, list[int]]:
+    """The core (module docstring) and the old label of each core vertex;
+    ``paths`` maps the bit of each edge a suppression makes to its path."""
+    n = len(rows)
     rows = list(rows)
     stack = [v for v, d in enumerate(degrees) if d <= 2]
     while stack:
@@ -102,6 +148,10 @@ def _peel(rows: Rows, degrees: list[int]) -> Rows:
         else:
             rows[x] |= 1 << y
             rows[y] |= 1 << x
+            if paths is not None:
+                xv = 1 << min(x, v) * n + max(x, v)
+                vy = 1 << min(y, v) * n + max(y, v)
+                paths[1 << x * n + y] = paths.get(xv, xv) | paths.get(vy, vy)
     keep = [v for v, r in enumerate(rows) if r]
     position = [0] * len(rows)
     for i, v in enumerate(keep):
@@ -115,12 +165,12 @@ def _peel(rows: Rows, degrees: list[int]) -> Rows:
             c |= 1 << position[low.bit_length() - 1]
             r ^= low
         out.append(c)
-    return tuple(out)
+    return tuple(out), keep
 
 
-def _has_k33_subgraph(rows: Rows) -> bool:
-    """Three vertices with three common neighbors; a common neighbor is
-    never one of the three, since no vertex is its own neighbor."""
+def _has_k33_subgraph(rows: Rows) -> tuple[int, int, int, int] | None:
+    """Three vertices and the mask of their three or more common neighbors
+    (never one of the three: no vertex is its own neighbor), or None."""
     n = len(rows)
     verts = [v for v in range(n) if rows[v].bit_count() >= 3]
     k = len(verts)
@@ -132,9 +182,31 @@ def _has_k33_subgraph(rows: Rows) -> bool:
             if nab.bit_count() < 3:
                 continue
             for t in range(j + 1, k):
-                if (nab & rows[verts[t]]).bit_count() >= 3:
-                    return True
-    return False
+                if (common := nab & rows[verts[t]]).bit_count() >= 3:
+                    return a, b, verts[t], common
+    return None
+
+
+def _contracted_k33(rows: Rows) -> list[tuple[int, int]] | None:
+    """Edges of a K3,3 subdivision that one contraction exposes (the
+    module docstring's contraction certificate), or None.  With no K3,3
+    subgraph, each end of uv has a neighbor among the ci."""
+    n = len(rows)
+    for a in range(n):
+        for b in range(a + 1, n):
+            common = rows[a] & rows[b]
+            if common.bit_count() < 3:
+                continue
+            near = [u for u in range(n)
+                    if rows[u] & common and u != a and u != b]
+            for i, u in enumerate(near):
+                for v in near[i + 1:]:
+                    cs = (rows[u] | rows[v]) & common & ~(1 << u | 1 << v)
+                    if rows[u] >> v & 1 and cs.bit_count() >= 3:
+                        return [(u, v)] + [
+                            (x, c) for c in list(bits(cs))[:3]
+                            for x in (a, b, u if rows[u] >> c & 1 else v)]
+    return None
 
 
 # ---------------------------------------------------------------------------

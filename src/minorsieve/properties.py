@@ -33,7 +33,7 @@ from enum import Enum
 
 from .graphs import Edge, Graph, Rows, edges_from_rows, rows_add_edge, \
     rows_contract_edge, rows_delete_edge, rows_delete_vertex, rows_non_edges
-from .planarity import is_planar, is_planar_rows
+from .planarity import is_planar, is_planar_rows, nonplanar_witness
 
 
 class Property(Enum):
@@ -99,14 +99,30 @@ def _scan(rows: Rows, family, planar: bool) -> tuple[int, ...] | None:
     untested: that result already had the other planarity, or the scan
     would have stopped there.  Different contractions, or deletions of
     different vertices, can give the same labeled rows.
+
+    A scan for a planar edge deletion also skips every edge outside
+    ``core``, the edges that every Kuratowski subdivision found so far
+    (``nonplanar_witness``) uses.  If K lies in g - e1 and e is not an
+    edge of K, K lies in g - e as well, so g - e is nonplanar and cannot
+    be the hit: the least hit is unchanged.
     """
     _, candidates, apply = family
+    narrow = planar and family is _EDGE_DELETION
+    n = len(rows)
+    core = -1
     seen = set()
     for c in candidates(rows):
+        if narrow and not core >> c[0] * n + c[1] & 1:
+            continue
         result = apply(rows, *c)
         if result in seen:
             continue
-        if is_planar_rows(result) == planar:
+        if narrow:
+            witness = nonplanar_witness(result)
+            if witness is None:
+                return c
+            core &= witness or -1
+        elif is_planar_rows(result) == planar:
             return c
         seen.add(result)
     return None

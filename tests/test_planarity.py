@@ -9,11 +9,14 @@ as it stood before the peel and the subgraph certificates
 K3,3 subgraph certificate; it and the oracle's K5 test are checked
 against networkx subgraph monomorphism, and the rule that decides small
 cores by the K3,3 test alone is checked on every labeled core it covers.
+Each mask ``nonplanar_witness`` returns is checked to be a K3,3
+subdivision inside its graph that networkx finds nonplanar.
 """
 
 from __future__ import annotations
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 import random
 
@@ -26,11 +29,11 @@ import minorsieve
 from minorsieve import Graph, find_k_subgraph, has_minor, is_planar
 from minorsieve.canon import relabel_rows
 from minorsieve.generate import universe_level
-from minorsieve.graphs import Rows, edges_from_rows, rows_add_edge, \
-    rows_subdivide_edge
+from minorsieve.graphs import Rows, bits, edges_from_rows, rows_add_edge, \
+    rows_delete_edge, rows_subdivide_edge
 from minorsieve.oracles import _has_clique5
-from minorsieve.planarity import _has_k33_subgraph, _lr_memo, _lr_planar, \
-    is_planar_rows
+from minorsieve.planarity import _contracted_k33, _has_k33_subgraph, \
+    _lr_memo, _lr_planar, _peel, is_planar_rows, nonplanar_witness
 
 import reference_planarity
 from conftest import random_graph, to_networkx
@@ -199,7 +202,7 @@ def test_subgraph_certificates_against_networkx(reps_by_order, reps7):
             want5 = GraphMatcher(h, k5).subgraph_is_monomorphic()
             want33 = GraphMatcher(h, k33).subgraph_is_monomorphic()
             assert _has_clique5(rows) == want5, g.sorted_edges()
-            assert _has_k33_subgraph(rows) == want33, g.sorted_edges()
+            assert bool(_has_k33_subgraph(rows)) == want33, g.sorted_edges()
             hits["K5"] += want5
             hits["K33"] += want33
     assert min(hits.values()) > 10
@@ -233,6 +236,68 @@ def test_small_cores_are_decided_by_the_k33_certificate():
         assert is_planar_rows(rows) == want, rows
         nonplanar += not want
     assert nonplanar > 0
+
+
+def _assert_k33_subdivision(rows: Rows, mask: int) -> None:
+    """``mask`` (bit u*n + v, u < v) is a K3,3 subdivision in ``rows``."""
+    n = len(rows)
+    assert all(u < v and rows[u] >> v & 1
+               for u, v in (divmod(i, n) for i in bits(mask))), (rows, mask)
+    assert _is_k33_subdivision(n, mask), (rows, mask)
+
+
+@lru_cache(maxsize=None)
+def _is_k33_subdivision(n: int, mask: int) -> bool:
+    """Six vertices of degree three, the rest of degree two, and nonplanar
+    by networkx; edge masks repeat a lot, so each is checked once."""
+    h = nx.Graph(divmod(i, n) for i in bits(mask))
+    return sorted(d for _, d in h.degree) == [2] * (len(h) - 6) + [3] * 6 \
+        and not nx.check_planarity(h)[0]
+
+
+def _check_witness(rows: Rows) -> int | None:
+    witness = nonplanar_witness(rows)
+    assert (witness is None) == is_planar_rows(rows), rows
+    if witness:
+        _assert_k33_subdivision(rows, witness)
+    return witness
+
+
+def _core(rows: Rows) -> Rows:
+    degrees = [r.bit_count() for r in rows]
+    return _peel(rows, degrees, None)[0] if min(degrees) <= 2 else rows
+
+
+def test_witnesses_on_edge_deletions_of_orders_5_to_8():
+    """Every edge deletion of every class of orders 5-8; the cores that
+    only the contraction certificate settles are checked on their own."""
+    outcomes = {"planar": 0, "no witness": 0, "witness": 0}
+    contraction_only = set()
+    for n in range(5, 9):
+        for rows in universe_level(n):
+            for u, v in edges_from_rows(rows):
+                minor = rows_delete_edge(rows, u, v)
+                witness = _check_witness(minor)
+                outcomes["planar" if witness is None else
+                         "witness" if witness else "no witness"] += 1
+                core = _core(minor)
+                if witness and len(core) >= 7 \
+                        and not _has_k33_subgraph(core):
+                    contraction_only.add(core)
+    assert outcomes == {"planar": 117702, "no witness": 22246,
+                        "witness": 45198}
+    assert len(contraction_only) == 8391
+    for core in contraction_only:
+        assert _contracted_k33(core) is not None, core
+        assert _check_witness(core), core
+
+
+def test_witnesses_on_peeled_graphs():
+    rng = random.Random(17)
+    witnesses = 0
+    for _ in range(1200):
+        witnesses += bool(_check_witness(_peel_graph(rng)))
+    assert witnesses > 300
 
 
 def test_lr_memo_is_bounded():
