@@ -9,27 +9,35 @@ Subcommands:
 * ``tables --scale desk|full``      reproduce MM count tables and diff
 * ``expand FILE --depth D ...``     close under moves, sieve the family
 
+One report per command: each ``_cmd_*`` builds its JSON payload once
+and returns ``(kind, payload, text_lines, exit_code)``, the text lines
+rendered from that payload or from the values it was built from.
+``main`` prints the payload as one versioned JSON document under
+``--json``, and the text lines otherwise.  ``--out`` writes the found
+graphs as graph6 lines in both modes, ``--count-only`` included; text
+mode lists them only when no ``--out`` is given.  Graph output lists
+are canonical and independent of ``--jobs``.
+
 Exit codes: 0 success, 1 a property/minimality/verification check came
 back false, 2 usage, parse or resource-cap errors and internal
 consistency errors (a bug, reported in one line).  ``--jobs`` must be at
 least 1 and is capped at the usable CPU count, which is what the JSON
-``jobs`` field reports.  Graph files hold
-one graph per line, graph6 or ``{(a,b),...}`` edge-list text, detected
-per line.  ``--json`` swaps the text output for one versioned JSON
-document; graph output lists are canonical and independent of --jobs.
+``jobs`` field reports.  Graph files hold one graph per line, graph6 or
+``{(a,b),...}`` edge-list text, detected per line.
 """
 
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 from pathlib import Path
 import sys
 
 from .canon import canonical_key
 from .catalog import mm_catalog, verify_catalog
 from .errors import EdgeListParseError, Graph6ParseError, ResourceLimitError
-from .formats import emit_edge_list, emit_graph6, graph_doc, \
-    graphs_to_graph6_lines, json_report, read_graphs
+from .formats import graph_doc, graphs_to_graph6_lines, json_report, \
+    read_graphs
 from .generate import EnumFilter, SearchReport, count_graphs, \
     generate_graphs, search_minor_minimal
 from .graphs import Graph
@@ -58,63 +66,42 @@ def _decide_with_witness(g: Graph, prop: str):
         return is_planar(g), None
     if prop == "apex":
         v = find_apex_vertex(g)
-        return v is not None, (
-            None if v is None else {"kind": "vertex", "value": [v]}
-        )
+        return (False, None) if v is None else \
+            (True, {"kind": "vertex", "value": [v]})
     value, wit = check_with_witness(g, Property(prop))
-    doc = None if wit is None else {"kind": wit.kind,
-                                    "value": list(wit.value)}
-    return value, doc
+    return value, wit and {"kind": wit.kind, "value": list(wit.value)}
 
 
 def _witness_text(doc: dict | None) -> str:
-    if doc is None:
-        return ""
-    value = ",".join(str(x) for x in doc["value"])
-    return f"  witness {doc['kind']} ({value})"
+    return "" if doc is None else \
+        f"  witness {doc['kind']} ({','.join(map(str, doc['value']))})"
 
 
-def _cmd_check(args) -> int:
-    graphs = _read_graph_file(args.file)
-    results = []
-    for g in graphs:
-        value, wit = _decide_with_witness(g, args.property)
-        results.append((g, value, wit))
-    if args.json:
-        payload = {
-            "property": args.property,
-            "graphs": [
-                {**graph_doc(g), "value": value,
-                 **({"witness": wit} if wit else {})}
-                for g, value, wit in results
-            ],
-            "all_true": all(v for _, v, _ in results),
-        }
-        print(json_report("check", payload))
-    else:
-        for i, (g, value, wit) in enumerate(results, start=1):
-            print(f"#{i} order={g.order} size={g.size} "
-                  f"{args.property}={value}{_witness_text(wit)}")
-    return 0 if all(v for _, v, _ in results) else 1
+def _per_graph(args, kind: str, key: str, label: str,
+               decide) -> tuple[str, dict, list[str], int]:
+    """The report of a per-graph command: ``decide(g)`` is (value, witness)."""
+    docs = []
+    for g in _read_graph_file(args.file):
+        value, wit = decide(g)
+        docs.append({**graph_doc(g), key: value,
+                     **({"witness": wit} if wit else {})})
+    ok = all(d[key] for d in docs)
+    lines = [f"#{i} order={d['order']} size={d['size']} {label}={d[key]}"
+             f"{_witness_text(d.get('witness'))}"
+             for i, d in enumerate(docs, start=1)]
+    return kind, {"property": args.property, "graphs": docs,
+                  "all_true": ok}, lines, 0 if ok else 1
 
 
-def _cmd_minimal(args) -> int:
-    graphs = _read_graph_file(args.file)
+def _cmd_check(args) -> tuple[str, dict, list[str], int]:
+    return _per_graph(args, "check", "value", args.property,
+                      lambda g: _decide_with_witness(g, args.property))
+
+
+def _cmd_minimal(args) -> tuple[str, dict, list[str], int]:
     prop = Property(args.property)
-    results = [(g, is_minor_minimal(g, prop)) for g in graphs]
-    if args.json:
-        payload = {
-            "property": prop.value,
-            "graphs": [{**graph_doc(g), "minor_minimal": v}
-                       for g, v in results],
-            "all_true": all(v for _, v in results),
-        }
-        print(json_report("minimal", payload))
-    else:
-        for i, (g, value) in enumerate(results, start=1):
-            print(f"#{i} order={g.order} size={g.size} "
-                  f"MM-{prop.value}={value}")
-    return 0 if all(v for _, v in results) else 1
+    return _per_graph(args, "minimal", "minor_minimal", f"MM-{prop.value}",
+                      lambda g: (is_minor_minimal(g, prop), None))
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -124,19 +111,19 @@ def _parse_orders(text: str) -> tuple[int, ...]:
         b = int(hi) if dash else a
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"--order wants N or A-B, got {text!r}"
-        ) from None
+            f"--order wants N or A-B, got {text!r}") from None
     if a < 1 or b < a:
         raise argparse.ArgumentTypeError(f"bad order range {text!r}")
     return tuple(range(a, b + 1))
 
 
-def _emit_found(graphs, out: str | None, as_json: bool) -> None:
+def _found_lines(graphs, docs: list[dict], out: str | None) -> list[str]:
+    """Write ``graphs`` to ``out`` as graph6 lines, in either output mode;
+    without ``out``, the text listing of their ``docs``."""
     if out:
         Path(out).write_text(graphs_to_graph6_lines(graphs))
-    elif not as_json:
-        for g in graphs:
-            print(f"{emit_graph6(g).strip()}  {emit_edge_list(g)}")
+        return []
+    return [f"{d.get('graph6', '')}  {d['edge_list']}" for d in docs]
 
 
 def _str_keys(counts: dict[int, int]) -> dict[str, int]:
@@ -160,99 +147,74 @@ def _search_payload(report: SearchReport, jobs: int) -> dict:
     }
 
 
-def _cmd_search(args) -> int:
-    if args.property is None:
-        # bare enumeration: count or emit the filtered universe
-        total = 0
-        emitted = []
-        for order in args.order:
-            filt = EnumFilter(order=order, min_degree=args.min_degree,
-                              connected=args.connected,
-                              planarity=args.planarity)
-            if args.count_only:
-                total += count_graphs(filt, jobs=args.jobs)
-            else:
-                emitted.extend(generate_graphs(filt, jobs=args.jobs))
-        if args.count_only:
-            if args.json:
-                print(json_report("count", {
-                    "orders": list(args.order),
-                    "min_degree": args.min_degree,
-                    "connected": args.connected,
-                    "planarity": args.planarity,
-                    "scanned": total,
-                }))
-            else:
-                print(f"scanned {total}")
-            return 0
-        _emit_found(emitted, args.out, args.json)
-        if args.json:
-            print(json_report("enumerate", {
-                "orders": list(args.order),
-                "count": len(emitted),
-                "graphs": [graph_doc(g) for g in emitted],
-            }))
-        return 0
+def _cmd_pool(args) -> tuple[str, dict, list[str], int]:
+    """``search`` without ``--property``: count or list the filtered pool."""
+    if args.count_only and args.out:
+        raise ValueError("--out needs the pool's graphs, and --count-only "
+                         "keeps none")
+    filters = [EnumFilter(order=order, min_degree=args.min_degree,
+                          connected=args.connected, planarity=args.planarity)
+               for order in args.order]
+    if args.count_only:
+        total = sum(count_graphs(filt, jobs=args.jobs) for filt in filters)
+        return "count", {
+            "orders": list(args.order), "min_degree": args.min_degree,
+            "connected": args.connected, "planarity": args.planarity,
+            "scanned": total}, [f"scanned {total}"], 0
+    graphs = [g for filt in filters
+              for g in generate_graphs(filt, jobs=args.jobs)]
+    docs = [graph_doc(g) for g in graphs]
+    return "enumerate", {
+        "orders": list(args.order), "count": len(graphs), "graphs": docs,
+    }, _found_lines(graphs, docs, args.out), 0
 
+
+def _cmd_search(args) -> tuple[str, dict, list[str], int]:
+    if args.property is None:
+        return _cmd_pool(args)
     prop = Property(args.property)
-    report = search_minor_minimal(
-        prop, args.order, min_degree=args.min_degree,
-        connected=args.connected, jobs=args.jobs,
-    )
+    report = search_minor_minimal(prop, args.order, jobs=args.jobs,
+                                  min_degree=args.min_degree,
+                                  connected=args.connected)
+    payload = _search_payload(report, args.jobs)
     sweep = []
     if prop is Property.NE:
-        sweep = [
-            {"graph": graph_doc(g), "violations": v}
-            for g in report.found
+        payload["structure_sweep_violations"] = sweep = [
+            {"graph": doc, "violations": v}
+            for g, doc in zip(report.found, payload["found"])
             if (v := mmne_structure_violations(g))
         ]
-    if args.count_only and not args.json:
-        print(f"scanned {report.scanned}")
-        print(f"found {len(report.found)}")
-    elif args.json:
-        payload = _search_payload(report, args.jobs)
-        if prop is Property.NE:
-            payload["structure_sweep_violations"] = sweep
-        if args.count_only:
-            payload.pop("found")
-        print(json_report("search", payload))
-        if args.out:
-            Path(args.out).write_text(graphs_to_graph6_lines(report.found))
+    if args.count_only:
+        del payload["found"]
+    lines = _found_lines(report.found, payload.get("found", []), args.out)
+    if args.out:
+        lines.append(f"wrote {len(report.found)} graphs to {args.out}")
+    if args.count_only:
+        lines += [f"scanned {report.scanned}", f"found {len(report.found)}"]
     else:
-        _emit_found(report.found, args.out, False)
-        if args.out:
-            print(f"wrote {len(report.found)} graphs to {args.out}")
         hist = ", ".join(f"{n}:{c}"
-                         for n, c in sorted(report.found_by_order().items()))
-        print(f"property {prop.value}: scanned {report.scanned}, "
-              f"found {len(report.found)} ({hist or 'none'}) "
-              f"in {report.wall_time:.1f}s")
-        for item in sweep:
-            print(f"STRUCTURE VIOLATION {item['graph']['edge_list']}: "
-                  + "; ".join(item["violations"]))
-    return 1 if sweep else 0
+                         for n, c in payload["found_by_order"].items())
+        lines.append(f"property {prop.value}: scanned {report.scanned}, "
+                     f"found {len(report.found)} ({hist or 'none'}) "
+                     f"in {report.wall_time:.1f}s")
+        lines += [f"STRUCTURE VIOLATION {item['graph']['edge_list']}: "
+                  + "; ".join(item["violations"]) for item in sweep]
+    return "search", payload, lines, 1 if sweep else 0
 
 
-def _cmd_verify_catalog(args) -> int:
+def _cmd_verify_catalog(args) -> tuple[str, dict, list[str], int]:
     report = verify_catalog(jobs=args.jobs)
-    if args.json:
-        print(json_report("verify-catalog", report))
-    else:
-        for r in report["entries"]:
-            for claim, rec in r["claims"].items():
-                mark = "ok " if rec["ok"] else "FAIL"
-                extra = f" ({rec['detail']})" if "detail" in rec else ""
-                print(f"[{mark}] {r['id']} "
-                      f"(order {r['order']}, size {r['size']}): "
-                      f"{claim}{extra}")
-        for c in report["checks"]:
-            mark = "ok " if c["ok"] else "FAIL"
-            print(f"[{mark}] {c['name']}: {c['detail']}")
-        print(f"{report['claim_count']} claims over "
-              f"{report['entry_count']} entries, "
-              f"{report['failures']} failures, "
-              f"{report['elapsed_seconds']}s")
-    return 0 if report["ok"] else 1
+    lines = [f"[{'ok ' if rec['ok'] else 'FAIL'}] {r['id']} "
+             f"(order {r['order']}, size {r['size']}): {claim}"
+             + (f" ({rec['detail']})" if "detail" in rec else "")
+             for r in report["entries"]
+             for claim, rec in r["claims"].items()]
+    lines += [f"[{'ok ' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}"
+              for c in report["checks"]]
+    lines.append(f"{report['claim_count']} claims over {report['entry_count']}"
+                 f" entries, {report['failures']} failures, "
+                 f"{report['elapsed_seconds']}s")
+    return "verify-catalog", report, lines, 0 if report["ok"] else 1
 
 
 # expected minor-minimal counts by order, derived from the embedded
@@ -281,88 +243,64 @@ _TABLE_SIZES = {
 }
 
 
-def _cmd_tables(args) -> int:
-    rows = []
-    failures = 0
-    for prop_name, max_order, expected in _TABLE_ROWS[args.scale]:
-        prop = Property(prop_name)
-        report = search_minor_minimal(prop, range(1, max_order + 1),
-                                      jobs=args.jobs)
-        got = report.found_by_order()
-        ok = got == expected
-
-        catalog_keys = {
-            canonical_key(e.graph) for e in mm_catalog(prop)
-            if e.graph.order <= max_order
-        }
-        found_keys = {canonical_key(g) for g in report.found}
-        members_ok = found_keys == catalog_keys
-
-        sizes_expected = _TABLE_SIZES.get((prop_name, max_order))
-        sizes_got = None
-        sizes_ok = True
-        if sizes_expected is not None:
-            sizes_got = {}
-            for g in report.found:
-                sizes_got[g.size] = sizes_got.get(g.size, 0) + 1
-            sizes_ok = sizes_got == sizes_expected
-
-        row_ok = ok and members_ok and sizes_ok
-        failures += not row_ok
-        rows.append({
-            "property": prop_name,
-            "max_order": max_order,
-            "scanned": report.scanned,
-            "expected_by_order": _str_keys(expected),
-            "found_by_order": _str_keys(got),
-            "members_match_catalog": members_ok,
-            **({"expected_by_size": _str_keys(sizes_expected),
-                "found_by_size": _str_keys(sizes_got)}
-               if sizes_expected is not None else {}),
-            "wall_seconds": round(report.wall_time, 3),
-            "ok": row_ok,
-        })
-    if args.json:
-        print(json_report("tables", {
-            "scale": args.scale,
-            "rows": rows,
-            "failures": failures,
-            "ok": failures == 0,
-        }))
-    else:
-        for r in rows:
-            mark = "ok " if r["ok"] else "FAIL"
-            print(f"[{mark}] MM-{r['property']} order<={r['max_order']}: "
-                  f"found {r['found_by_order']} "
-                  f"expected {r['expected_by_order']}, "
-                  f"members_match_catalog={r['members_match_catalog']} "
-                  f"({r['scanned']} scanned, {r['wall_seconds']}s)")
-            if "found_by_size" in r:
-                print(f"      sizes found {r['found_by_size']} "
-                      f"expected {r['expected_by_size']}")
-        print(f"{len(rows)} rows, {failures} failures")
-    return 0 if failures == 0 else 1
+def _table_row(prop_name: str, max_order: int, expected: dict[int, int],
+               jobs: int) -> dict:
+    prop = Property(prop_name)
+    report = search_minor_minimal(prop, range(1, max_order + 1), jobs=jobs)
+    catalog_keys = {canonical_key(e.graph) for e in mm_catalog(prop)
+                    if e.graph.order <= max_order}
+    row = {
+        "property": prop_name,
+        "max_order": max_order,
+        "scanned": report.scanned,
+        "expected_by_order": _str_keys(expected),
+        "found_by_order": _str_keys(report.found_by_order()),
+        "members_match_catalog":
+            {canonical_key(g) for g in report.found} == catalog_keys,
+        "wall_seconds": round(report.wall_time, 3),
+    }
+    sizes_expected = _TABLE_SIZES.get((prop_name, max_order))
+    if sizes_expected is not None:
+        row["expected_by_size"] = _str_keys(sizes_expected)
+        row["found_by_size"] = _str_keys(Counter(g.size for g in report.found))
+    row["ok"] = (row["found_by_order"] == row["expected_by_order"]
+                 and row["members_match_catalog"]
+                 and row.get("found_by_size") == row.get("expected_by_size"))
+    return row
 
 
-def _cmd_expand(args) -> int:
+def _cmd_tables(args) -> tuple[str, dict, list[str], int]:
+    rows = [_table_row(*spec, jobs=args.jobs)
+            for spec in _TABLE_ROWS[args.scale]]
+    failures = sum(not r["ok"] for r in rows)
+    lines = []
+    for r in rows:
+        lines.append(f"[{'ok ' if r['ok'] else 'FAIL'}] MM-{r['property']} "
+                     f"order<={r['max_order']}: found {r['found_by_order']} "
+                     f"expected {r['expected_by_order']}, "
+                     f"members_match_catalog={r['members_match_catalog']} "
+                     f"({r['scanned']} scanned, {r['wall_seconds']}s)")
+        if "found_by_size" in r:
+            lines.append(f"      sizes found {r['found_by_size']} "
+                         f"expected {r['expected_by_size']}")
+    lines.append(f"{len(rows)} rows, {failures} failures")
+    return "tables", {"scale": args.scale, "rows": rows,
+                      "failures": failures, "ok": failures == 0}, \
+        lines, 0 if failures == 0 else 1
+
+
+def _cmd_expand(args) -> tuple[str, dict, list[str], int]:
     graphs = _read_graph_file(args.file)
     moves = tuple(m.strip() for m in args.moves.split(",") if m.strip())
     report = explore_family(graphs, Property(args.property), args.depth,
                             moves=moves, jobs=args.jobs)
-    if args.json:
-        payload = _search_payload(report, args.jobs)
-        payload["moves"] = list(moves)
-        payload["depth"] = args.depth
-        payload["seeds"] = len(graphs)
-        print(json_report("expand", payload))
-        if args.out:
-            Path(args.out).write_text(graphs_to_graph6_lines(report.found))
-    else:
-        _emit_found(report.found, args.out, False)
-        print(f"closure of {len(graphs)} seed(s) under {','.join(moves)} "
-              f"to depth {args.depth}: {report.scanned} graphs, "
-              f"{len(report.found)} minor-minimal {args.property}")
-    return 0
+    payload = {**_search_payload(report, args.jobs), "moves": list(moves),
+               "depth": args.depth, "seeds": len(graphs)}
+    lines = _found_lines(report.found, payload["found"], args.out)
+    lines.append(f"closure of {len(graphs)} seed(s) under {','.join(moves)} "
+                 f"to depth {args.depth}: {report.scanned} graphs, "
+                 f"{len(report.found)} minor-minimal {args.property}")
+    return "expand", payload, lines, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -436,26 +374,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        kind, payload, lines, code = args.func(args)
     except (EdgeListParseError, Graph6ParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+        error = f"parse error: {exc}"
     except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename!r}", file=sys.stderr)
-        return _USAGE_ERROR
+        error = f"cannot read {exc.filename!r}"
     except ResourceLimitError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+        error = f"resource cap: {exc}"
     except RuntimeError as exc:  # CatalogError and other consistency checks
-        print(f"internal error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+        error = f"internal error: {exc}"
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-
+        error = f"error: {exc}"
+    else:
+        if args.json:
+            print(json_report(kind, payload))
+        else:
+            for line in lines:
+                print(line)
+        return code
+    print(error, file=sys.stderr)
+    return _USAGE_ERROR
 
 if __name__ == "__main__":
     sys.exit(main())

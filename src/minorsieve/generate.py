@@ -76,8 +76,8 @@ from typing import Iterable, Iterator
 from .canon import canonical_data, canonical_key_rows, relabel_rows, \
     root_cells
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows, rows_component_masks, rows_connected, \
-    rows_delete_vertex, rows_size, rows_twin_firsts
+from .graphs import Graph, Rows, rows_component_masks, rows_delete_vertex, \
+    rows_size, rows_twin_firsts
 from .minimality import is_minor_minimal
 from .parallel import parallel_map, worker_count
 from .planarity import is_planar_rows
@@ -125,7 +125,7 @@ class EnumFilter:
             return False
         if self.min_degree and any(r.bit_count() < self.min_degree for r in rows):
             return False
-        if self.connected and not rows_connected(rows):
+        if self.connected and len(rows_component_masks(rows)) > 1:
             return False
         if self.planarity != "all":
             planar = is_planar_rows(rows)

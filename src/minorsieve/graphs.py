@@ -129,21 +129,6 @@ def rows_component_masks(rows: Rows) -> list[int]:
     return comps
 
 
-def rows_connected(rows: Rows) -> bool:
-    n = len(rows)
-    if n <= 1:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        grown = 0
-        for u in bits(frontier):
-            grown |= rows[u]
-        frontier = grown & ~comp
-        comp |= frontier
-    return comp == (1 << n) - 1
-
-
 def rows_twin_firsts(rows: Rows) -> list[int]:
     """The least vertex of each vertex's twin class.  Twins have equal
     open, or equal closed, neighborhoods, so swapping two is an
@@ -318,7 +303,7 @@ class Graph:
     # -- connectivity -----------------------------------------------------------
 
     def is_connected(self) -> bool:
-        return rows_connected(self.rows())
+        return len(rows_component_masks(self.rows())) <= 1
 
     def components(self) -> tuple[frozenset[int], ...]:
         return tuple(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -165,6 +166,64 @@ def test_enumerate_pool_out_file(tmp_path, capsys):
     capsys.readouterr()
     lines = out.read_text().splitlines()
     assert len(lines) == 1  # K5 is the only nonplanar class at order 5
+
+
+def test_search_count_only_writes_out_in_both_modes(tmp_path, capsys):
+    text, js = tmp_path / "text.g6", tmp_path / "json.g6"
+    argv = ["search", "--property", "NE", "--order", "1-7", "--count-only"]
+    assert main(argv + ["--out", str(text)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"wrote 2 graphs to {text}", "scanned 237", "found 2"]
+    assert main(argv + ["--out", str(js), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "found" not in doc and doc["found_count"] == 2
+    assert text.read_bytes() == js.read_bytes()
+    assert text.read_bytes().count(b"\n") == 2
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_pool_count_only_out_is_usage_error(mode, tmp_path, capsys):
+    out = tmp_path / "pool.g6"
+    assert main(["search", "--order", "5", "--count-only",
+                 "--out", str(out)] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out") \
+        and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_catalog_text_counts_equal_payload(capsys):
+    assert main(["verify-catalog"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["verify-catalog", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    claim_lines = [ln for ln in lines if ln.startswith("[")
+                   and "(order " in ln]
+    assert len(claim_lines) == doc["claim_count"]
+    assert len(lines) == doc["claim_count"] + len(doc["checks"]) + 1
+    assert sum(ln.startswith("[FAIL]") for ln in lines) == doc["failures"]
+    summary = re.fullmatch(r"(\d+) claims over (\d+) entries, "
+                           r"(\d+) failures, [\d.]+s", lines[-1])
+    assert tuple(map(int, summary.groups())) == (
+        doc["claim_count"], doc["entry_count"], doc["failures"])
+    assert len(doc["entries"]) == doc["entry_count"]
+
+
+def test_expand_text_counts_equal_payload(tmp_path, capsys):
+    f = write_graphs(tmp_path / "seed.g6", [build_named("K6-e")])
+    argv = ["expand", f, "--property", "NE", "--depth", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    *listed, summary = lines
+    assert listed == [f"{g['graph6']}  {g['edge_list']}"
+                      for g in doc["found"]]
+    assert summary == (f"closure of 1 seed(s) under ty,yt to depth 1: "
+                       f"{doc['scanned']} graphs, {doc['found_count']} "
+                       f"minor-minimal NE")
+    assert doc["found_count"] == len(doc["found"]) >= 1
 
 
 def test_table_literals_agree_with_catalog():
