@@ -10,8 +10,9 @@ The graphs come from four kinds of construction:
 
 * named one-offs (Kuratowski graphs, their one-edge perturbations, the
   single-edge subdivisions, complete and complete bipartite relatives);
-* unions: disjoint (``|``), sharing one vertex (``.``), and sharing two
-  nonadjacent vertices with no edge added between them (``:``);
+* composites named by their recipe: ``A|B`` is the disjoint union of A
+  and B, ``A.B`` shares one vertex, and ``A:B`` shares a nonadjacent
+  pair with no edge added between it;
 * five families of two-cut compositions whose members are enumerated
   from block recipes, deduplicated up to isomorphism, filtered by an
   actual minimality test, and counted against the expected family size
@@ -30,15 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, product
+import re
 import time
 from typing import Callable, Iterable
 
-from .canon import canonical_graph, canonical_key
+from .canon import canonical_data, canonical_graph, canonical_key, \
+    relabel_rows
 from .catalog_data import A1_EDGE_LISTS, A2_EDGE_LISTS
 from .errors import CatalogError, ResourceLimitError
 from .formats import parse_edge_list
 from .graphs import Edge, Graph, Rows, disjoint_union, one_vertex_union, \
-    rows_size
+    rows_size, two_vertex_union
 from .minimality import is_minor_minimal, is_minor_minimal_upclosed
 from .parallel import parallel_map
 from .planarity import is_planar
@@ -102,15 +105,6 @@ def _block_edges(kind: str, a: str, b: str, tag: str) -> list[tuple[str, str]]:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-def _kuratowski_parts() -> list[tuple[list[str], list[tuple[str, str]]]]:
-    """The two Kuratowski graphs on fresh g-labels, with vertex lists."""
-    k5 = [f"g{i}" for i in range(5)]
-    k5_edges = [(u, v) for i, u in enumerate(k5) for v in k5[i + 1:]]
-    k33 = [f"g{i}" for i in range(6)]
-    k33_edges = [(u, v) for u in k33[:3] for v in k33[3:]]
-    return [(k5, k5_edges), (k33, k33_edges)]
-
-
 # ---------------------------------------------------------------------------
 # two-cut family recipes
 # ---------------------------------------------------------------------------
@@ -161,10 +155,14 @@ def _attached_candidates(shared: int) -> list[Graph]:
     # Kuratowski graph that a and b each reach by two edges, sharing
     # ``shared`` of their attachment vertices.  Swapping a and b is an
     # automorphism of both blocks, so each unordered pair of private
-    # attachment sets is taken once.
+    # attachment sets is taken once.  The Kuratowski graphs take fresh
+    # g-labels.
+    k5, k33 = [f"g{i}" for i in range(5)], [f"g{i}" for i in range(6)]
+    kuratowski = ((k5, list(combinations(k5, 2))),
+                  (k33, list(product(k33[:3], k33[3:]))))
     out = []
     for kind in _MISSING:
-        for vs, g_edges in _kuratowski_parts():
+        for vs, g_edges in kuratowski:
             for common in combinations(vs, shared):
                 rest = [w for w in vs if w not in common]
                 for own_a, own_b in combinations(
@@ -204,7 +202,9 @@ def build_mmna_family(family: str) -> tuple[Graph, ...]:
         )
     classes: dict[bytes, Graph] = {}
     for g in _FAMILY_CANDIDATES[family]():
-        classes.setdefault(canonical_key(g), canonical_graph(g))
+        key, perm, _ = canonical_data(g.rows())
+        if key not in classes:
+            classes[key] = Graph.from_rows(relabel_rows(g.rows(), perm))
     kept = [
         classes[key] for key in sorted(classes)
         if is_minor_minimal_upclosed(classes[key], Property.NA)
@@ -230,77 +230,23 @@ def _k33() -> Graph:
     return Graph.complete_bipartite(3, 3)
 
 
-def _k5_minus_e() -> Graph:
-    return _k5().delete_edge(0, 1)
-
-
-def _k33_minus_e() -> Graph:
-    return _k33().delete_edge(0, 3)
-
-
-def _k33_plus_e() -> Graph:
-    return _k33().add_edge(0, 1)
-
-
-def _k33_plus_2e() -> Graph:
-    # one added edge inside each part; equivalently the split of a K5
-    # vertex into two vertices of degree three
-    return _k33().add_edge(0, 1).add_edge(3, 4)
-
-
 def _bar(g: Graph) -> Graph:
     u, v = min(g.sorted_edges())
     return g.subdivide_edge(u, v)
 
 
-def _k1() -> Graph:
-    return Graph(1)
-
-
-def _k2() -> Graph:
-    return Graph.complete(2)
-
-
 def _rooks9() -> Graph:
-    # 3x3 rook moves: two triangles' worth of coordinates, adjacent when
-    # either coordinate agrees
-    cells = [(r, c) for r in range(3) for c in range(3)]
-    idx = {cell: i for i, cell in enumerate(cells)}
-    edges = [
-        (idx[p], idx[q])
-        for i, p in enumerate(cells)
-        for q in cells[i + 1:]
-        if p[0] == q[0] or p[1] == q[1]
-    ]
-    return Graph(9, edges)
-
-
-# the block kind of each ``:`` operand, glued at its nonadjacent pair
-_GLUE_KINDS = {"K5-e": "K5-e", "K33-e": "K33x-e", "K33": "K33s"}
-
-
-def _glued(kind1: str, kind2: str) -> Graph:
-    """Two blocks sharing a nonadjacent vertex pair, no edge added."""
-    return _graph_from_labeled(
-        _block_edges(_GLUE_KINDS[kind1], "a", "b", "p")
-        + _block_edges(_GLUE_KINDS[kind2], "a", "b", "q")
-    )
-
-
-def _dot(g: Graph, h: Graph) -> Graph:
-    return one_vertex_union(g, 0, h, 0)
+    # 3x3 rook moves: cell (r, c) is vertex 3r + c, and two cells are
+    # adjacent when either coordinate agrees
+    return Graph(9, [(i, j) for i, j in combinations(range(9), 2)
+                     if i // 3 == j // 3 or i % 3 == j % 3])
 
 
 def _triangled_k33() -> Graph:
     """K33 with every edge given its own triangle apex (order 15, size 27)."""
-    g = _k33()
-    edges = g.sorted_edges()
-    apex = g.order
-    out = list(edges)
-    for u, v in edges:
-        out.extend([(u, apex), (v, apex)])
-        apex += 1
-    return Graph(apex, out)
+    edges = _k33().sorted_edges()
+    return Graph(15, edges + [(w, 6 + i) for i, e in enumerate(edges)
+                              for w in e])
 
 
 # (builder, claims, construction note); claims stick to what is actually
@@ -319,70 +265,69 @@ _NAMED: dict[str, tuple[Callable[[], Graph], frozenset[str], str]] = {
             "complete bipartite 4+3"),
     "rooks9": (_rooks9, frozenset({"nonplanar", "MM-NE", "MM-NC"}),
                "rook's graph on a 3x3 board"),
-    "K5-e": (_k5_minus_e, frozenset({"planar", "AN", "CAN",
-                                     "MM-AN", "MM-CAN"}),
+    "K5-e": (lambda: _k5().delete_edge(0, 1),
+             frozenset({"planar", "AN", "CAN", "MM-AN", "MM-CAN"}),
              "K5 with one edge removed"),
-    "K33-e": (_k33_minus_e, frozenset({"planar", "AN", "MM-AN"}),
+    "K33-e": (lambda: _k33().delete_edge(0, 3),
+              frozenset({"planar", "AN", "MM-AN"}),
               "K33 with one edge removed"),
-    "K33+e": (_k33_plus_e, frozenset({"nonplanar", "MM-IE"}),
+    "K33+e": (lambda: _k33().add_edge(0, 1),
+              frozenset({"nonplanar", "MM-IE"}),
               "K33 plus one edge inside a part"),
-    "K33+2e": (_k33_plus_2e, frozenset({"nonplanar", "MM-IC"}),
+    # one added edge inside each part; equivalently the split of a K5
+    # vertex into two vertices of degree three
+    "K33+2e": (lambda: _k33().add_edge(0, 1).add_edge(3, 4),
+               frozenset({"nonplanar", "MM-IC"}),
                "K33 plus one edge inside each part"),
     "barK5": (lambda: _bar(_k5()), frozenset({"nonplanar", "MM-IC"}),
               "K5 with one edge subdivided"),
     "barK33": (lambda: _bar(_k33()), frozenset({"nonplanar", "MM-IC"}),
                "K33 with one edge subdivided"),
-    "K1|K5": (lambda: disjoint_union(_k1(), _k5()),
-              frozenset({"nonplanar", "MM-IA"}), "K1 disjoint from K5"),
-    "K1|K33": (lambda: disjoint_union(_k1(), _k33()),
-               frozenset({"nonplanar", "MM-IA"}), "K1 disjoint from K33"),
-    "K2|K5": (lambda: disjoint_union(_k2(), _k5()),
-              frozenset({"nonplanar", "MM-IE", "MM-IC"}),
-              "K2 disjoint from K5"),
-    "K2|K33": (lambda: disjoint_union(_k2(), _k33()),
-               frozenset({"nonplanar", "MM-IE", "MM-IC"}),
-               "K2 disjoint from K33"),
-    "K2.K5": (lambda: _dot(_k2(), _k5()),
-              frozenset({"nonplanar", "MM-IE", "MM-IC"}),
-              "K2 and K5 sharing one vertex"),
-    "K2.K33": (lambda: _dot(_k2(), _k33()),
-               frozenset({"nonplanar", "MM-IE", "MM-IC"}),
-               "K2 and K33 sharing one vertex"),
-    "K5|K5": (lambda: disjoint_union(_k5(), _k5()),
-              frozenset({"nonplanar", "MM-NA", "MM-NE", "MM-NC"}),
-              "two disjoint copies of K5"),
-    "K5|K33": (lambda: disjoint_union(_k5(), _k33()),
-               frozenset({"nonplanar", "MM-NA", "MM-NE", "MM-NC"}),
-               "K5 disjoint from K33"),
-    "K33|K33": (lambda: disjoint_union(_k33(), _k33()),
-                frozenset({"nonplanar", "MM-NA", "MM-NE", "MM-NC"}),
-                "two disjoint copies of K33"),
-    "K5.K5": (lambda: _dot(_k5(), _k5()),
-              frozenset({"nonplanar", "MM-NE", "MM-NC"}),
-              "two copies of K5 sharing one vertex"),
-    "K5.K33": (lambda: _dot(_k5(), _k33()),
-               frozenset({"nonplanar", "MM-NE", "MM-NC"}),
-               "K5 and K33 sharing one vertex"),
-    "K33.K33": (lambda: _dot(_k33(), _k33()),
-                frozenset({"nonplanar", "MM-NE", "MM-NC"}),
-                "two copies of K33 sharing one vertex"),
 }
 
-_GLUED_PAIRS = (
-    ("K5-e", "K5-e"),
-    ("K5-e", "K33-e"),
-    ("K33-e", "K33-e"),
-    ("K5-e", "K33"),
-    ("K33-e", "K33"),
-    ("K33", "K33"),
+# A composite's id is its recipe: ``A|B`` is the disjoint union, ``A.B``
+# identifies vertex 0 of each operand, and ``A:B`` each operand's
+# nonadjacent pair in ``_GLUE_PAIRS``, adding no edge between it.  An
+# operand is a one-off above or the complete graph Kn.
+_GLUE_PAIRS: dict[str, Edge] = {"K5-e": (0, 1), "K33-e": (0, 3), "K33": (0, 1)}
+# each connective's note, for distinct and for equal operands
+_UNION_NOTES = {
+    "|": ("{} disjoint from {}", "two disjoint copies of {}"),
+    ".": ("{} and {} sharing one vertex",
+          "two copies of {} sharing one vertex"),
+    ":": ("{} and {} sharing a nonadjacent vertex pair, no edge added",) * 2,
+}
+# the composites beside "nonplanar", grouped by their other claims
+_COMPOSITES = (
+    ("MM-IA", "K1|K5 K1|K33"),
+    ("MM-IE MM-IC", "K2|K5 K2|K33 K2.K5 K2.K33"),
+    ("MM-NA MM-NE MM-NC", "K5|K5 K5|K33 K33|K33"),
+    ("MM-NE MM-NC", "K5.K5 K5.K33 K33.K33 K5-e:K5-e K5-e:K33-e "
+                    "K33-e:K33-e K5-e:K33 K33-e:K33 K33:K33"),
 )
 
-for _k1_, _k2_ in _GLUED_PAIRS:
-    _NAMED[f"{_k1_}:{_k2_}"] = (
-        (lambda a=_k1_, b=_k2_: _glued(a, b)),
-        frozenset({"nonplanar", "MM-NE", "MM-NC"}),
-        f"{_k1_} and {_k2_} sharing a nonadjacent vertex pair, no edge added",
-    )
+
+def _composite(name: str) -> Graph:
+    a, op, b = re.split("([|.:])", name)
+    g, h = (_NAMED[x][0]() if x in _NAMED else Graph.complete(int(x[1:]))
+            for x in (a, b))
+    if op == "|":
+        return disjoint_union(g, h)
+    if op == ".":
+        return one_vertex_union(g, 0, h, 0)
+    return two_vertex_union(g, _GLUE_PAIRS[a], h, _GLUE_PAIRS[b])
+
+
+def _composite_note(name: str) -> str:
+    a, op, b = re.split("([|.:])", name)
+    return _UNION_NOTES[op][a == b].format(a, b)
+
+
+_NAMED.update(
+    (name, (partial(_composite, name),
+            frozenset({"nonplanar", *claims.split()}), _composite_note(name)))
+    for claims, names in _COMPOSITES for name in names.split()
+)
 
 #: connective aliases accepted by build_named alongside the ASCII ids
 _ID_REWRITES = (
@@ -422,7 +367,9 @@ def build_named(name: str) -> Graph:
 # appendix collections
 # ---------------------------------------------------------------------------
 
-_APPENDIX = {"A1_MMNE_15": A1_EDGE_LISTS, "A2_MMNC_22": A2_EDGE_LISTS}
+# collection -> (entry id prefix, the minimality its members claim, lists)
+_APPENDIX = {"A1_MMNE_15": ("A1", Property.NE, A1_EDGE_LISTS),
+             "A2_MMNC_22": ("A2", Property.NC, A2_EDGE_LISTS)}
 
 
 def appendix_graphs(which: str) -> tuple[Graph, ...]:
@@ -431,7 +378,7 @@ def appendix_graphs(which: str) -> tuple[Graph, ...]:
         raise ValueError(
             f"unknown collection {which!r}; expected one of {tuple(_APPENDIX)}"
         )
-    return tuple(parse_edge_list(text) for text in _APPENDIX[which])
+    return tuple(parse_edge_list(text) for text in _APPENDIX[which][2])
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +449,11 @@ def all_entries() -> tuple[CatalogEntry, ...]:
             entries.append(CatalogEntry(
                 f"{family}.{i}", g, frozenset({"nonplanar", "MM-NA"}), note
             ))
-    for prefix, claim, lists in (
-        ("A1", "MM-NE", A1_EDGE_LISTS),
-        ("A2", "MM-NC", A2_EDGE_LISTS),
-    ):
-        for i, text in enumerate(lists, start=1):
+    for which, (prefix, prop, _) in _APPENDIX.items():
+        for i, g in enumerate(appendix_graphs(which), start=1):
             entries.append(CatalogEntry(
-                f"{prefix}.{i}", parse_edge_list(text),
-                frozenset({"nonplanar", claim}),
+                f"{prefix}.{i}", g,
+                frozenset({"nonplanar", f"MM-{prop.value}"}),
                 f"embedded edge list {prefix}, entry {i}",
             ))
     for name in _COUNTEREXAMPLES:
@@ -528,26 +472,22 @@ def entry(entry_id: str) -> CatalogEntry:
     raise ValueError(f"no catalog entry {entry_id!r}")
 
 
+# per property: its one-offs, the composites claiming its minimality, and
+# for NA the family members, for NE and NC an embedded list
+_MM_ONE_OFFS = {Property.AN: "K5-e K33-e", Property.CAN: "K5-e",
+                Property.IE: "K33+e", Property.IC: "K33+2e barK5 barK33"}
 _MM_LISTS: dict[Property, tuple[str, ...]] = {
-    Property.AN: ("K5-e", "K33-e"),
-    Property.CAN: ("K5-e",),
-    Property.IA: ("K1|K5", "K1|K33"),
-    Property.IE: ("K33+e", "K2|K5", "K2|K33", "K2.K5", "K2.K33"),
-    Property.IC: ("K33+2e", "barK5", "barK33",
-                  "K2|K5", "K2|K33", "K2.K5", "K2.K33"),
-    Property.NA: ("K5|K5", "K5|K33", "K33|K33")
-    + tuple(f"abEdge9.{i}" for i in range(1, 10))
-    + tuple(f"bowtie3.{i}" for i in range(1, 4))
-    + tuple(f"t220.{i}" for i in range(1, 9))
-    + tuple(f"t221.{i}" for i in range(1, 9))
-    + tuple(f"t222.{i}" for i in range(1, 6)),
-    Property.NE: ("K5|K5", "K5|K33", "K33|K33", "K5.K5", "K5.K33", "K33.K33")
-    + tuple(f"{a}:{b}" for a, b in _GLUED_PAIRS)
-    + tuple(f"A1.{i}" for i in range(1, 16)),
-    Property.NC: ("K5|K5", "K5|K33", "K33|K33", "K5.K5", "K5.K33", "K33.K33")
-    + tuple(f"{a}:{b}" for a, b in _GLUED_PAIRS)
-    + tuple(f"A2.{i}" for i in range(1, 23)),
+    p: tuple(_MM_ONE_OFFS.get(p, "").split()) + tuple(
+        name for claims, names in _COMPOSITES
+        if f"MM-{p.value}" in claims.split() for name in names.split())
+    for p in Property
 }
+_MM_LISTS[Property.NA] += tuple(
+    f"{family}.{i}" for family, n in _FAMILY_COUNTS.items()
+    for i in range(1, n + 1))
+for _prefix, _prop, _lists in _APPENDIX.values():
+    _MM_LISTS[_prop] += tuple(f"{_prefix}.{i}"
+                              for i in range(1, len(_lists) + 1))
 
 
 def mm_catalog(prop: Property | str) -> tuple[CatalogEntry, ...]:
@@ -647,11 +587,7 @@ def _structural_checks() -> list[dict]:
         all(k == 0 or 2 <= k <= 5 for k in kappas) and 1 not in kappas,
         f"connectivities seen: {sorted(set(kappas))}")
 
-    def split(p: Property, keep) -> set[bytes]:
-        return {canonical_key(e.graph) for e in mm_catalog(p)
-                if keep(e.graph)}
-
-    disc = {p: split(p, lambda g: not g.is_connected())
+    disc = {p: _keyset(e for e in mm_catalog(p) if not e.graph.is_connected())
             for p in (Property.NA, Property.NE, Property.NC)}
     add("disconnected-coincidence",
         disc[Property.NA] == disc[Property.NE] == disc[Property.NC]
@@ -661,8 +597,8 @@ def _structural_checks() -> list[dict]:
     def is_cut1(g: Graph) -> bool:
         return g.is_connected() and g.vertex_connectivity() == 1
 
-    cut1_ne = split(Property.NE, is_cut1)
-    cut1_nc = split(Property.NC, is_cut1)
+    cut1_ne = _keyset(e for e in mm_catalog(Property.NE) if is_cut1(e.graph))
+    cut1_nc = _keyset(e for e in mm_catalog(Property.NC) if is_cut1(e.graph))
     add("cut-vertex-coincidence",
         cut1_ne == cut1_nc and len(cut1_ne) == 3,
         "the three one-cut members agree across NE and NC")
@@ -692,7 +628,7 @@ def _structural_checks() -> list[dict]:
     g, e = counterexample("NC_not_closed")
     capexes = [f for f in g.sorted_edges()
                if is_planar(g.contract_edge(*f))]
-    k4k4 = _dot(Graph.complete(4), Graph.complete(4))
+    k4k4 = one_vertex_union(Graph.complete(4), 0, Graph.complete(4), 0)
     add("NC-not-closed",
         (g.order, g.size) == (8, 19)
         and capexes == [e]

@@ -19,10 +19,11 @@ mode lists them only when no ``--out`` is given.  Graph output lists
 are canonical and independent of ``--jobs``.
 
 Exit codes: 0 success, 1 a property/minimality/verification check came
-back false, 2 usage, parse or resource-cap errors and internal
-consistency errors (a bug, reported in one line).  ``--jobs`` must be at
-least 1 and is capped at the usable CPU count, which is what the JSON
-``jobs`` field reports.  Graph files hold one graph per line, graph6 or
+back false, 2 usage, parse or resource-cap errors, an unreadable graph
+file or unwritable ``--out`` file, and internal consistency errors (a
+bug), each reported in one line.  ``--jobs`` must be at least 1 and is
+capped at the usable CPU count, which is what the JSON ``jobs`` field
+reports.  Graph files hold one graph per line, graph6 or
 ``{(a,b),...}`` edge-list text, detected per line.
 """
 
@@ -52,8 +53,15 @@ PROPERTY_CHOICES = tuple(p.value for p in Property) + ("planar", "apex")
 _USAGE_ERROR = 2
 
 
+class _FileError(Exception):
+    """A graph file that could not be read or written (exit 2)."""
+
+
 def _read_graph_file(path: str) -> list[Graph]:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError:
+        raise _FileError(f"cannot read {path!r}") from None
     graphs = read_graphs(text)
     if not graphs:
         raise EdgeListParseError(f"no graphs in {path!r}")
@@ -121,7 +129,10 @@ def _found_lines(graphs, docs: list[dict], out: str | None) -> list[str]:
     """Write ``graphs`` to ``out`` as graph6 lines, in either output mode;
     without ``out``, the text listing of their ``docs``."""
     if out:
-        Path(out).write_text(graphs_to_graph6_lines(graphs))
+        try:
+            Path(out).write_text(graphs_to_graph6_lines(graphs))
+        except OSError:
+            raise _FileError(f"cannot write {out!r}") from None
         return []
     return [f"{d.get('graph6', '')}  {d['edge_list']}" for d in docs]
 
@@ -379,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         kind, payload, lines, code = args.func(args)
     except (EdgeListParseError, Graph6ParseError) as exc:
         error = f"parse error: {exc}"
-    except FileNotFoundError as exc:
-        error = f"cannot read {exc.filename!r}"
+    except _FileError as exc:
+        error = str(exc)
     except ResourceLimitError as exc:
         error = f"resource cap: {exc}"
     except RuntimeError as exc:  # CatalogError and other consistency checks

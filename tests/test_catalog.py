@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import networkx as nx
 import pytest
 
@@ -89,6 +91,24 @@ def test_named_shapes():
             build_named("K5-e:K5-e").size) == (8, 18)
     assert not build_named("K5|K33").is_connected()
     assert build_named("K2.K5").vertex_connectivity() == 1
+
+
+def test_composite_ids_spell_their_construction():
+    # A|B shares no vertex, A.B one, A:B a pair nonadjacent on both sides
+    shared = {"|": 0, ".": 1, ":": 2}
+    composites = [n for n in catalog.named_ids() if re.search("[|.:]", n)]
+    assert len(composites) == 18
+    for name in composites:
+        a, op, b = re.split("([|.:])", name)
+        g, h = (catalog._NAMED[x][0]() if x in catalog._NAMED
+                else Graph.complete({"K1": 1, "K2": 2}[x]) for x in (a, b))
+        c = build_named(name)
+        assert c.size == g.size + h.size, name
+        assert c.order == g.order + h.order - shared[op], name
+        if op == ":":
+            pair_g, pair_h = catalog._GLUE_PAIRS[a], catalog._GLUE_PAIRS[b]
+            assert not g.has_edge(*pair_g) and not h.has_edge(*pair_h)
+            assert not catalog._composite(name).has_edge(*pair_g), name
 
 
 def test_id_aliases_normalize():

@@ -75,6 +75,25 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_out_is_a_write_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "F"
+    assert main(["search", "--property", "NE", "--order", "1-5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cannot write {str(out)!r}\n"
+
+
+def test_out_naming_a_directory_is_a_write_error(tmp_path, capsys):
+    assert main(["search", "--property", "NE", "--order", "1-5",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"cannot write {str(tmp_path)!r}\n"
+
+
+def test_directory_input_is_a_read_error(tmp_path, capsys):
+    assert main(["check", str(tmp_path), "--property", "NA"]) == 2
+    assert capsys.readouterr().err == f"cannot read {str(tmp_path)!r}\n"
+
+
 def test_malformed_line_is_usage_error(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("{(1,2),(2,2)}\n")
