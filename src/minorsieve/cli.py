@@ -39,8 +39,8 @@ from .catalog import mm_catalog, verify_catalog
 from .errors import EdgeListParseError, Graph6ParseError, ResourceLimitError
 from .formats import graph_doc, graphs_to_graph6_lines, json_report, \
     read_graphs
-from .generate import EnumFilter, SearchReport, count_graphs, \
-    generate_graphs, search_minor_minimal
+from .generate import MAX_ENUM_ORDER, EnumFilter, SearchReport, \
+    count_graphs, generate_graphs, search_minor_minimal
 from .graphs import Graph
 from .minimality import is_minor_minimal, mmne_structure_violations
 from .moves import MOVE_NAMES, explore_family
@@ -122,6 +122,9 @@ def _parse_orders(text: str) -> tuple[int, ...]:
             f"--order wants N or A-B, got {text!r}") from None
     if a < 1 or b < a:
         raise argparse.ArgumentTypeError(f"bad order range {text!r}")
+    if b > MAX_ENUM_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"order capped at {MAX_ENUM_ORDER}, got {text!r}")
     return tuple(range(a, b + 1))
 
 

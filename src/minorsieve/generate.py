@@ -51,7 +51,9 @@ and ``_PLANAR`` keeps each member's planarity from the first planar or
 nonplanar request on.  The rule applies only below ``MAX_ENUM_ORDER``:
 both caches hold each level for the life of the process, and a level at
 the cap is too large to keep (12,005,168 classes at order 10), so it is
-built once, filtered as it is made, and dropped.  A count streams too,
+built once, filtered as it is made, and dropped.  ``EnumFilter`` rejects
+an order above the cap, and every entry point builds one before any
+level runs, so no level at the cap is ever cached.  A count streams too,
 unless the level is cached already: a streamed count relabels no child
 and holds one chunk, where caching the level would keep all of it.
 
@@ -83,8 +85,8 @@ from .parallel import parallel_map, worker_count
 from .planarity import is_planar_rows
 from .properties import Property
 
-#: default ceiling on enumeration order; anything beyond it is a
-#: multi-hour sweep and must be requested explicitly
+#: ceiling on enumeration order, checked by ``EnumFilter``; one order more
+#: would hold all 12,005,168 order-10 classes as its parents
 MAX_ENUM_ORDER = 10
 
 _PLANARITY_MODES = ("all", "planar", "nonplanar")
@@ -104,6 +106,9 @@ class EnumFilter:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("order must be at least 1")
+        if self.order > MAX_ENUM_ORDER:
+            raise ResourceLimitError(f"enumeration capped at order "
+                                     f"{MAX_ENUM_ORDER}; asked for {self.order}")
         cap = self.order * (self.order - 1) // 2
         for name in ("min_size", "max_size"):
             val = getattr(self, name)
@@ -414,8 +419,7 @@ def _decide_chunk(args: tuple[Property, list[Rows]]) -> list[Rows]:
             if is_minor_minimal(Graph.from_rows(rows), prop)]
 
 
-def _final_pairs(filt: EnumFilter, jobs: int = 1,
-                 max_order: int = MAX_ENUM_ORDER, shard: int = 0,
+def _final_pairs(filt: EnumFilter, jobs: int = 1, shard: int = 0,
                  shards: int = 1, keep: Property | bool = True
                  ) -> tuple[int, list[Rows]]:
     """The size of the final level, restricted to the children of every
@@ -429,13 +433,10 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
     universe level and its flags (see the module docstring), and its
     members are decided in chunks of the pool, except for a count whose
     level is not cached yet; every other level is streamed by
-    ``_expand_level``.
+    ``_expand_level``.  ``EnumFilter`` bounds the order, so a level at
+    the cap is always streamed and never cached.
     """
     n = filt.order
-    if n > max_order:
-        raise ResourceLimitError(
-            f"enumeration capped at order {max_order}; asked for {n}"
-        )
     worker_count(jobs, 1)  # rejects jobs < 1 here too, where no map runs
     cached = shards == 1 and n < MAX_ENUM_ORDER and \
         filt == EnumFilter(order=n, planarity=filt.planarity) and \
@@ -464,32 +465,29 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1,
 # public enumeration surface
 # ---------------------------------------------------------------------------
 
-def enumerate_graphs(filt: EnumFilter, jobs: int = 1,
-                     max_order: int = MAX_ENUM_ORDER) -> Iterator[Graph]:
+def enumerate_graphs(filt: EnumFilter, jobs: int = 1) -> Iterator[Graph]:
     """One canonical representative per isomorphism class, key order."""
-    for rows in _final_pairs(filt, jobs, max_order)[1]:
+    for rows in _final_pairs(filt, jobs)[1]:
         yield Graph.from_rows(rows)
 
 
-def generate_graphs(filt: EnumFilter, jobs: int = 1,
-                    max_order: int = MAX_ENUM_ORDER) -> list[Graph]:
-    return list(enumerate_graphs(filt, jobs, max_order))
+def generate_graphs(filt: EnumFilter, jobs: int = 1) -> list[Graph]:
+    return list(enumerate_graphs(filt, jobs))
 
 
-def count_graphs(filt: EnumFilter, jobs: int = 1,
-                 max_order: int = MAX_ENUM_ORDER) -> int:
-    return _final_pairs(filt, jobs, max_order, keep=False)[0]
+def count_graphs(filt: EnumFilter, jobs: int = 1) -> int:
+    return _final_pairs(filt, jobs, keep=False)[0]
 
 
-def enumerate_partition(filt: EnumFilter, shard: int, shards: int,
-                        max_order: int = MAX_ENUM_ORDER) -> list[Graph]:
+def enumerate_partition(filt: EnumFilter, shard: int,
+                        shards: int) -> list[Graph]:
     """Shard ``shard`` of ``shards``: children of every ``shards``-th
     parent.  The union over shards equals the unsharded output with no
     duplicates; any single shard is restartable in isolation."""
     if not 0 <= shard < shards:
         raise ValueError("need 0 <= shard < shards")
     return [Graph.from_rows(rows)
-            for rows in _final_pairs(filt, 1, max_order, shard, shards)[1]]
+            for rows in _final_pairs(filt, 1, shard, shards)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +516,7 @@ class SearchReport:
 
 def search_minor_minimal(prop: Property, orders: Iterable[int],
                          min_degree: int = 0, connected: bool = False,
-                         jobs: int = 1,
-                         max_order: int = MAX_ENUM_ORDER) -> SearchReport:
+                         jobs: int = 1) -> SearchReport:
     """Enumerate every order in ``orders`` and keep the minor-minimal
     graphs for ``prop``.
 
@@ -527,19 +524,21 @@ def search_minor_minimal(prop: Property, orders: Iterable[int],
     nonplanar for the six others; disconnected graphs are included
     unless ``connected`` narrows the pool.  Results are independent of
     ``jobs``.  ``found`` is in canonical key order: each pool is, the
-    orders ascend, and a key begins with the order.
+    orders ascend, and a key begins with the order.  Every order is
+    checked against the cap before the first level runs.
     """
     order_list = tuple(sorted(set(orders)))
     if not order_list:
         raise ValueError("no orders to search")
     planarity = "planar" if prop in (Property.AN, Property.CAN) else "nonplanar"
+    filters = [EnumFilter(order=order, min_degree=min_degree,
+                          connected=connected, planarity=planarity)
+               for order in order_list]
     start = time.monotonic()
     scanned = 0
     hits: list[Rows] = []
-    for order in order_list:
-        filt = EnumFilter(order=order, min_degree=min_degree,
-                          connected=connected, planarity=planarity)
-        count, minimal = _final_pairs(filt, jobs, max_order, keep=prop)
+    for filt in filters:
+        count, minimal = _final_pairs(filt, jobs, keep=prop)
         scanned += count
         hits.extend(minimal)
     found = tuple(Graph.from_rows(rows) for rows in hits)

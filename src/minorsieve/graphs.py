@@ -182,10 +182,6 @@ class Graph:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def empty(cls, order: int) -> "Graph":
-        return cls(order)
-
-    @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 

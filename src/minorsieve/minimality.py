@@ -252,18 +252,16 @@ def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def is_minor_minimal_exhaustive(g: Graph, prop: Property,
-                                max_order: int = EXHAUSTIVE_ORDER_CAP,
-                                max_members: int = SIEVE_MEMBER_CAP) -> bool:
+def is_minor_minimal_exhaustive(g: Graph, prop: Property) -> bool:
     """Ground-truth minimality: walk every proper minor and test each one.
 
     Planar subtrees are skipped only when the property implies
-    nonplanarity; for AN and CAN everything is visited.
+    nonplanarity; for AN and CAN everything is visited.  Its order and
+    member caps are ``EXHAUSTIVE_ORDER_CAP`` and ``SIEVE_MEMBER_CAP``.
     """
-    if g.order > max_order:
+    if g.order > EXHAUSTIVE_ORDER_CAP:
         raise ResourceLimitError(
-            f"exhaustive minimality capped at order {max_order}"
-        )
+            f"exhaustive minimality capped at order {EXHAUSTIVE_ORDER_CAP}")
     if not check(g, prop):
         return False
     prune_planar = prop in _NONPLANAR_PROPS
@@ -277,10 +275,9 @@ def is_minor_minimal_exhaustive(g: Graph, prop: Property,
                 if key in visited:
                     continue
                 visited.add(key)
-                if len(visited) > max_members:
-                    raise ResourceLimitError(
-                        f"exhaustive minimality exceeded {max_members} members"
-                    )
+                if len(visited) > SIEVE_MEMBER_CAP:
+                    raise ResourceLimitError(f"exhaustive minimality "
+                                             f"exceeded {SIEVE_MEMBER_CAP} members")
                 if prune_planar and is_planar_rows(child):
                     continue
                 if check(Graph.from_rows(child), prop):

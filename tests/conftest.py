@@ -8,7 +8,7 @@ from typing import Iterable
 import networkx as nx
 import pytest
 
-from minorsieve import EnumFilter, Graph, generate_graphs
+from minorsieve import EnumFilter, Graph, generate, generate_graphs
 from minorsieve.graphs import Edge, Rows
 
 
@@ -57,3 +57,18 @@ def reps_by_order() -> dict[int, list[Graph]]:
 def reps7() -> list[Graph]:
     """All 1044 isomorphism classes of order 7."""
     return generate_graphs(EnumFilter(order=7))
+
+
+@pytest.fixture
+def built_levels(monkeypatch) -> list:
+    """Make building or reading any enumeration level fail loudly; the
+    list records each attempt."""
+    seen = []
+
+    def recorder(*args, **kwargs):
+        seen.append(args)
+        raise AssertionError(f"a level was built: {args}")
+
+    monkeypatch.setattr(generate, "_expand_level", recorder)
+    monkeypatch.setattr(generate, "universe_level", recorder)
+    return seen

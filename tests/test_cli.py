@@ -13,6 +13,7 @@ from minorsieve import Graph, build_named, emit_edge_list, emit_graph6, \
 from minorsieve import cli
 from minorsieve.cli import _TABLE_ROWS, _TABLE_SIZES, main
 from minorsieve.errors import CatalogError
+from minorsieve.generate import MAX_ENUM_ORDER
 
 
 def write_graphs(path, graphs):
@@ -126,6 +127,20 @@ def test_dangling_order_range_rejected(text, capsys):
         main(["search", "--order", text, "--count-only"])
     assert exc.value.code == 2
     assert "--order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--property", "NE", "--order", "8-11", "--count-only"],
+    ["search", "--order", "1-1000", "--count-only"],
+])
+def test_order_past_cap_is_usage_error(argv, built_levels, capsys):
+    # rejected by the parser, before any level is built
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--order" in err and f"capped at {MAX_ENUM_ORDER}" in err
+    assert built_levels == []
 
 
 def test_huge_declared_order_is_usage_error(tmp_path, capsys):

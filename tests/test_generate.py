@@ -135,6 +135,17 @@ def test_search_rejects_orders_above_cap():
         search_minor_minimal(Property.AN, orders=[])
 
 
+def test_order_past_cap_does_no_work(built_levels):
+    """Every order is checked against the cap before the first level is
+    built, so a request that ends past the cap does no enumeration."""
+    from minorsieve import ResourceLimitError
+    with pytest.raises(ResourceLimitError):
+        search_minor_minimal(Property.NE, [8, 11])
+    with pytest.raises(ResourceLimitError):
+        EnumFilter(order=generate.MAX_ENUM_ORDER + 1)
+    assert built_levels == []
+
+
 def test_report_round_trip_fields():
     report = search_minor_minimal(Property.CAN, orders=[5])
     assert report.prop is Property.CAN
