@@ -30,11 +30,13 @@ proper minor does.  Three deciders cover the eight properties:
 * ``is_minor_minimal_exhaustive`` is the slow oracle: the full closure
   under vertex deletion, edge deletion and edge contraction, with no
   shortcuts beyond discarding planar subtrees when the property implies
-  nonplanarity.  It exists to gate the fast deciders in tests and to
-  serve AN and CAN, which sit inside planarity and get no closure help.
+  nonplanarity, and members with fewer than eight edges for AN and CAN.
+  It exists to gate the fast deciders in tests and to serve AN and CAN,
+  which sit inside planarity and get no closure help.
 
-The exhaustive walk counts distinct members against a cap, and so does
-the pivot walk below; hitting the cap raises instead of truncating.
+The exhaustive walk counts distinct members against a cap, and the pivot
+walk below the members it scans; hitting the cap raises instead of
+truncating.
 
 Two degree facts (``_degree_violations``) decide many graphs before any
 planarity test; ``mmne_structure_violations`` reports the same two.
@@ -77,16 +79,33 @@ planarizes h.
 Every proper member lies in the closure of step(g, e) for some edge e of
 the root g (step: contraction for NE, deletion for NC), so each root
 edge starts one chain: cur = step(g, e); stop if cur is planar (its
-whole closure is) or met before in this decision (its chain ran
-already); otherwise scan cur, report a hit if the scan finds nothing
-(cur is NE/NC), and else pivot, cur = step(cur, f).  Each step removes a
-vertex (NE) or an edge (NC), so a chain is at most n (NE) or m (NC)
-steps long.  A scanned member is nonplanar, so it keeps at least five
-vertices and nine edges, and the root has minimum degree two, so
-m >= n: a chain scans at most m - 5 members, and a decision, root check
-and seeds included, at most 1 + m + m (m - 5) <= m * m.  The labeled
-rows met are kept in one set per decision; the member cap counts the
-distinct nonplanar ones, the root included.
+whole closure is); otherwise scan cur, report a hit if the scan finds
+nothing (cur is NE/NC), and else pivot, cur = step(cur, f).
+
+Chains run in ``edges_from_rows`` order, and a chain also stops where
+its next member lies in the closure of an earlier chain's first member.
+That closure holds no NE (NC) graph: chain i ended without a hit, so
+its last member's next member is planar or, by induction on i, lies in
+such a closure, and the lemma above carries "no NE (NC) graph in the
+closure" back along the chain to step(g, e_i).  The walk carries the
+earlier root edges through the chain by the same steps as cur and stops
+when the hit f is one of their images.
+* NC.  Deletions keep labels, so cur - f lies in the closure of g - e_i
+  iff e_i is f or already deleted; the chain stopped before any earlier
+  root edge was deleted, so the test is f < e.
+* NE.  g / C lies in the closure of g / e_i iff C merges the ends of
+  e_i.  While they are apart, e_i maps to the edge of cur between their
+  classes, and contracting f merges them iff f is that image.
+No set of visited rows is kept.  An NC chain never meets a member of an
+earlier chain, which lacks an earlier root edge; an NE chain can meet
+the rows of one by another partition, and then scans them again.
+
+Each step removes a vertex (NE) or an edge (NC), so a chain is at most n
+(NE) or m (NC) steps long.  A scanned member is nonplanar, so it keeps
+at least five vertices and nine edges, and the root has minimum degree
+two, so m >= n: a chain scans at most m - 5 members, and a decision,
+root check and seeds included, at most 1 + m + m (m - 5) <= m * m.  The
+member cap counts the members a walk scans, the root included.
 """
 
 from __future__ import annotations
@@ -96,8 +115,9 @@ from typing import Iterator
 from .canon import canonical_data, canonical_key, canonical_key_rows, \
     relabel_rows
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows, edges_from_rows, rows_contract_edge, \
-    rows_delete_edge, rows_delete_vertex, rows_twin_firsts
+from .graphs import Graph, Rows, edges_from_rows, rows_add_edge, \
+    rows_contract_edge, rows_delete_edge, rows_delete_vertex, rows_size, \
+    rows_twin_firsts
 from .planarity import is_planar_rows
 from .properties import Property, UPWARD_CLOSED, check, \
     first_planar_contraction, first_planar_edge_deletion, \
@@ -176,32 +196,35 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
                    for m in dict.fromkeys(_twin_minors(g.rows())))
 
 
-def _pivot_walk(rows: Rows, step, scan, max_members: int,
-                label: str) -> bool:
+def _pivot_walk(rows: Rows, step, scan, label: str) -> bool:
     """True iff some proper member of the closure of ``rows`` under
     ``step(cur, u, v)`` is nonplanar with no planarizing edge under the
     scan's operation (the member is NE or NC).
 
-    One chain per root edge, each pivoting on the scan's hit; the module
-    docstring proves that no other member needs a visit.
+    One chain per root edge, each pivoting on the scan's hit and stopping
+    where the hit is the image of an earlier root edge; the module
+    docstring proves that no other member needs a visit.  ``cleared``
+    holds those images as rows: the earlier root edges, carried through
+    the chain by the same steps as ``cur``.
     """
-    seen: set[Rows] = set()
+    done = (0,) * len(rows)  # the root edges whose chains found no hit
     members = 1  # the root
     for u, v in edges_from_rows(rows):
-        cur = step(rows, u, v)
-        while cur not in seen:
-            seen.add(cur)
-            if is_planar_rows(cur):
-                break
+        cur, cleared = step(rows, u, v), step(done, u, v)
+        while not is_planar_rows(cur):
             members += 1
-            if members > max_members:
+            if members > SIEVE_MEMBER_CAP:
                 raise ResourceLimitError(
-                    f"{label} sieve exceeded {max_members} members"
+                    f"{label} sieve exceeded {SIEVE_MEMBER_CAP} members"
                 )
             hit = scan(cur)
             if hit is None:
                 return True
-            cur = step(cur, *hit)
+            x, y = hit
+            if cleared[x] >> y & 1:
+                break
+            cur, cleared = step(cur, x, y), step(cleared, x, y)
+        done = rows_add_edge(done, u, v)
     return False
 
 
@@ -222,30 +245,61 @@ def _degree_violations(rows: Rows, ne: bool) -> list[str]:
     return out
 
 
-def is_mmne(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
-    """Minor-minimal NE: deletion seeds plus the contraction closure."""
+def is_mmne(g: Graph) -> bool:
+    """Minor-minimal NE: deletion seeds plus the contraction closure.
+
+    A seed's hit settles the seed of that edge: when (g - e) - f is
+    planar, so is (g - f) - e, the same rows, so g - f is not NE and
+    needs no scan.
+    """
     rows = g.rows()
     if _degree_violations(rows, True) or not is_ne_rows(rows):
         return False
-    for u, v in edges_from_rows(rows):
+    settled = set()
+    for e in edges_from_rows(rows):
+        if e in settled:
+            continue
         # g - e is nonplanar because g is NE; only the scan is open
-        if first_planar_edge_deletion(rows_delete_edge(rows, u, v)) is None:
+        hit = first_planar_edge_deletion(rows_delete_edge(rows, *e))
+        if hit is None:
             return False
+        settled.add(hit)
     return not _pivot_walk(rows, rows_contract_edge,
-                           first_planar_edge_deletion, max_members, "NE")
+                           first_planar_edge_deletion, "NE")
 
 
-def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
-    """Minor-minimal NC: contraction seeds plus the deletion closure."""
+def is_mmnc(g: Graph) -> bool:
+    """Minor-minimal NC: contraction seeds plus the deletion closure.
+
+    A seed's hit settles later seeds.  ``rows_contract_edge`` labels each
+    merged class by its least vertex and keeps the other vertices in
+    order, so the rows of a contraction depend only on the partition of
+    the vertices into classes.  Let seed ab (a < b) hit xy in g / ab, and
+    map x and y back to g by p -> p + (p >= b).  If neither is the merged
+    vertex a, the partition {a, b}, {x, y} is also (g / xy) / ab, so
+    g / xy is not NC.  If x or y is a and the other maps to z, the class
+    {a, b, z} is one more contraction from g / az and from g / bz, so
+    whichever of az and bz is an edge of g is settled.
+    """
     rows = g.rows()
     if _degree_violations(rows, False) or not is_nc_rows(rows):
         return False
-    for u, v in edges_from_rows(rows):
+    settled = set()
+    for a, b in edges_from_rows(rows):
+        if (a, b) in settled:
+            continue
         # g / e is nonplanar because g is NC; only the scan is open
-        if first_planar_contraction(rows_contract_edge(rows, u, v)) is None:
+        hit = first_planar_contraction(rows_contract_edge(rows, a, b))
+        if hit is None:
             return False
+        x, y = (p + (p >= b) for p in hit)
+        if a in (x, y):
+            z = x + y - a
+            settled.update((min(w, z), max(w, z)) for w in (a, b))
+        else:
+            settled.add((x, y))
     return not _pivot_walk(rows, rows_delete_edge,
-                           first_planar_contraction, max_members, "NC")
+                           first_planar_contraction, "NC")
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +309,15 @@ def is_mmnc(g: Graph, max_members: int = SIEVE_MEMBER_CAP) -> bool:
 def is_minor_minimal_exhaustive(g: Graph, prop: Property) -> bool:
     """Ground-truth minimality: walk every proper minor and test each one.
 
-    Planar subtrees are skipped only when the property implies
-    nonplanarity; for AN and CAN everything is visited.  Its order and
-    member caps are ``EXHAUSTIVE_ORDER_CAP`` and ``SIEVE_MEMBER_CAP``.
+    Planar subtrees are skipped when the property implies nonplanarity.
+    For AN and CAN, members with fewer than eight edges are skipped: a
+    nonplanar graph has at least nine edges, and an AN or CAN graph has
+    a missing edge whose addition is nonplanar (a CAN graph is not
+    complete), so it has at least eight, and so do the graphs it is a
+    minor of.  Edge counts never grow along a minor walk, so every
+    member with eight or more edges is still reached through members
+    with eight or more.  Its order and member caps are
+    ``EXHAUSTIVE_ORDER_CAP`` and ``SIEVE_MEMBER_CAP``.
     """
     if g.order > EXHAUSTIVE_ORDER_CAP:
         raise ResourceLimitError(
@@ -265,12 +325,15 @@ def is_minor_minimal_exhaustive(g: Graph, prop: Property) -> bool:
     if not check(g, prop):
         return False
     prune_planar = prop in _NONPLANAR_PROPS
+    min_size = 8 if prop in (Property.AN, Property.CAN) else 0
     visited = {canonical_key(g)}
     frontier = [g.rows()]
     while frontier:
         grown = []
         for cur in frontier:
             for child in one_step_minor_rows(cur):
+                if rows_size(child) < min_size:
+                    continue
                 key = canonical_key_rows(child)
                 if key in visited:
                     continue

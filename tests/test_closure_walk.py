@@ -4,7 +4,8 @@ The reference below re-runs every planarity test, every NE/NC check and
 every canonical labeling the walk meets, with one visited set for the
 whole walk.  The pivot walk in ``minimality`` follows one chain per root
 edge and labels nothing; both must reach the same verdict, and the two
-lemmas that justify the chains are checked on their own.  The reference
+lemmas that justify the chains, the rule that stops them and the seeds
+that the deciders settle without a scan are checked on their own.  The reference
 deciders use neither degree fact of ``minimality._degree_violations``,
 so they are the independent check of both.
 """
@@ -15,8 +16,8 @@ import random
 
 import pytest
 
-from minorsieve import Graph, ResourceLimitError, all_entries, is_mmnc, \
-    is_mmne, is_planar, mm_catalog
+from minorsieve import EnumFilter, Graph, ResourceLimitError, all_entries, \
+    generate_graphs, is_mmnc, is_mmne, is_planar, mm_catalog
 from minorsieve.canon import canonical_key_rows
 from minorsieve.graphs import Rows, edges_from_rows, rows_contract_edge, \
     rows_delete_edge, rows_subdivide_edge
@@ -98,7 +99,7 @@ WALKS = {
 def fast_walk(rows: Rows, label: str) -> bool:
     """The pivot walk's verdict: some proper member has the property."""
     step, _, scan = WALKS[label]
-    return minimality._pivot_walk(rows, step, scan, SIEVE_MEMBER_CAP, label)
+    return minimality._pivot_walk(rows, step, scan, label)
 
 
 def assert_same_walk(rows: Rows, label: str) -> int:
@@ -267,15 +268,143 @@ def test_scans_per_decision_at_most_m_squared(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the stop rule
+# ---------------------------------------------------------------------------
+
+def seen_set_walk(rows: Rows, step, scan, label: str) -> bool:
+    """The pivot walk as it was before the stop rule, which stopped a
+    chain only at a planar member or at labeled rows met before in the
+    decision; verbatim but for the member cap, which is the module's
+    constant."""
+    seen: set[Rows] = set()
+    members = 1  # the root
+    for u, v in edges_from_rows(rows):
+        cur = step(rows, u, v)
+        while cur not in seen:
+            seen.add(cur)
+            if is_planar_rows(cur):
+                break
+            members += 1
+            if members > SIEVE_MEMBER_CAP:
+                raise ResourceLimitError(
+                    f"{label} sieve exceeded {SIEVE_MEMBER_CAP} members"
+                )
+            hit = scan(cur)
+            if hit is None:
+                return True
+            cur = step(cur, *hit)
+    return False
+
+
+def test_stops_are_sound(reps_by_order, reps7):
+    """Wherever a chain stops short of a planar member, the reference
+    walk finds no NE (NC) graph in the closure of the member it would
+    have stepped to, that member included."""
+    pools = list(reps_by_order.values()) + [reps7]
+    graphs = [g for reps in pools for g in reps if not is_planar(g)]
+    memo: dict = {}
+    stops = dict.fromkeys(WALKS, 0)
+    for g in graphs:
+        for label, (step, _, scan) in WALKS.items():
+            scanned = []
+            minimality._pivot_walk(g.rows(), step, lambda h, scan=scan:
+                                   scanned.append((h, scan(h)))
+                                   or scanned[-1][1], label)
+            taken = {h for h, _ in scanned[1:]}
+            for h, hit in scanned:
+                if hit is None:
+                    continue
+                nxt = step(h, *hit)
+                if nxt in taken or is_planar_rows(nxt):
+                    continue
+                stops[label] += 1
+                assert not _closure_has(nxt, label, memo), (g, label, h, hit)
+    assert min(stops.values()) > 0, stops
+
+
+def _subdivisions(g: Graph) -> list[Graph]:
+    rows = g.rows()
+    return [Graph.from_rows(rows_subdivide_edge(rows, *e))
+            for e in edges_from_rows(rows)]
+
+
+def test_walk_verdicts_match_seen_set_walk():
+    """Same verdicts as the seen-set walk on every third nonplanar class
+    of order 8 and every third one-edge subdivision of a catalog graph
+    (all of them take twice the time)."""
+    graphs = generate_graphs(EnumFilter(order=8, planarity="nonplanar"))
+    graphs = graphs[::3] + [h for e in all_entries()
+                            for h in _subdivisions(e.graph)][::3]
+    verdicts = set()
+    for g in graphs:
+        rows = g.rows()
+        for label, (step, _, scan) in WALKS.items():
+            want = seen_set_walk(rows, step, scan, label)
+            assert minimality._pivot_walk(rows, step, scan, label) == want, \
+                (g, label)
+            verdicts.add((label, want))
+    assert verdicts == {(label, v) for label in WALKS for v in (False, True)}
+
+
+def test_settled_seeds_lack_the_property(monkeypatch, reps7):
+    """Every seed that ``is_mmne`` (``is_mmnc``) settles, and so never
+    scans, has a planarizing edge deletion (contraction) whose result
+    rows an earlier seed's scan found planar, so it is not NE (NC)."""
+    scanned = []
+    for name in ("first_planar_edge_deletion", "first_planar_contraction"):
+        scan = getattr(minimality, name)
+        monkeypatch.setattr(minimality, name, lambda rows, scan=scan:
+                            scanned.append((rows, scan(rows)))
+                            or scanned[-1][1])
+    graphs = [e.graph for e in all_entries()]
+    graphs += [g for g in reps7 if not is_planar(g)]
+    settled = dict.fromkeys(WALKS, 0)
+    for g in graphs:
+        rows = g.rows()
+        edges = edges_from_rows(rows)
+        for label, decide, op, prop_rows in (
+                ("NE", is_mmne, rows_delete_edge, is_ne_rows),
+                ("NC", is_mmnc, rows_contract_edge, is_nc_rows)):
+            scanned.clear()
+            decide(g)
+            seeds = [op(rows, *e) for e in edges]
+            # seed scans come first, in edge order; walk members differ
+            # from every seed in order
+            done = {}  # seed index -> hit
+            for h, hit in scanned:
+                at = next((i for i in range(max(done, default=-1) + 1,
+                                            len(seeds)) if seeds[i] == h),
+                          None)
+                if at is None:
+                    break
+                done[at] = hit
+            if not done:
+                continue  # decided before the seeds
+            planar = {SCAN_OPS[label](seeds[i], *hit)
+                      for i, hit in done.items() if hit is not None}
+            last = max(done)
+            for i in range(last if done[last] is None else len(seeds)):
+                if i not in done:
+                    settled[label] += 1
+                    assert any(SCAN_OPS[label](seeds[i], *f) in planar
+                               for f in edges_from_rows(seeds[i])), \
+                        (g, label, edges[i])
+                    assert not prop_rows(seeds[i]), (g, label, edges[i])
+    assert min(settled.values()) > 0, settled
+
+
+# ---------------------------------------------------------------------------
 # the member cap
 # ---------------------------------------------------------------------------
 
-def test_member_cap_matches_reference_count():
+def test_member_cap_matches_reference_count(monkeypatch):
     """K3,4 is minor-minimal NC.  Its pivot walk visits the root and
     its twelve one-edge deletions, each nonplanar and each a chain of
     its own, whose next step is planar: 13 members."""
     g = next(e.graph for e in mm_catalog("NC") if e.graph.order == 7)
     assert (g.order, g.size) == (7, 12)
-    assert is_mmnc(g, max_members=13)
+    monkeypatch.setattr(minimality, "SIEVE_MEMBER_CAP", 13)
+    assert is_mmnc(g)
+    monkeypatch.setattr(minimality, "SIEVE_MEMBER_CAP", 12)
     with pytest.raises(ResourceLimitError, match="NC sieve exceeded 12"):
-        is_mmnc(g, max_members=12)
+        is_mmnc(g)

@@ -10,6 +10,8 @@ from minorsieve import Graph, Property, ResourceLimitError, UPWARD_CLOSED, \
     all_entries, build_named, check, disjoint_union, is_minor_minimal, \
     is_minor_minimal_exhaustive, is_minor_minimal_upclosed, is_mmnc, \
     is_mmne, is_planar, one_step_minors
+from minorsieve.canon import canonical_key, canonical_key_rows
+from minorsieve.minimality import one_step_minor_rows
 
 from conftest import random_graph
 
@@ -126,6 +128,41 @@ def test_sieves_match_exhaustive_on_random_order_7():
         assert is_mmnc(g) == is_minor_minimal_exhaustive(g, Property.NC)
         agreements += 1
     assert agreements == 1000
+
+
+def unpruned_is_minor_minimal(g: Graph, prop: Property) -> bool:
+    """The exhaustive walk with no pruning: every proper minor, one per
+    isomorphism class, is tested."""
+    if not check(g, prop):
+        return False
+    visited = {canonical_key(g)}
+    frontier = [g.rows()]
+    while frontier:
+        grown = []
+        for cur in frontier:
+            for child in one_step_minor_rows(cur):
+                key = canonical_key_rows(child)
+                if key not in visited:
+                    visited.add(key)
+                    if check(Graph.from_rows(child), prop):
+                        return False
+                    grown.append(child)
+        frontier = grown
+    return True
+
+
+def test_an_can_pruning_matches_unpruned_walk(reps_by_order):
+    """Skipping members with fewer than eight edges changes no AN or CAN
+    verdict."""
+    graphs = [g for reps in reps_by_order.values() for g in reps
+              if is_planar(g)] + [build_named("K5-e"), build_named("K33-e")]
+    verdicts = set()
+    for g in graphs:
+        for prop in (Property.AN, Property.CAN):
+            want = unpruned_is_minor_minimal(g, prop)
+            assert is_minor_minimal_exhaustive(g, prop) == want, (g, prop)
+            verdicts.add((prop, want))
+    assert len(verdicts) == 4
 
 
 def test_dispatcher_routes_every_property():
