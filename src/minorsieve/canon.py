@@ -218,18 +218,27 @@ class _Search:
     def _orbit_rep(self, v: int, prefix: list[int]) -> int:
         """Smallest vertex reachable from v under generators fixing prefix."""
         useful = [g for g in self.gens if all(g[p] == p for p in prefix)]
-        if not useful:
-            return v
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for g in useful:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return min(orbit)
+        return min(_orbit(v, useful, _vertex_image)) if useful else v
+
+
+def _vertex_image(v: int, gen: tuple[int, ...]) -> int:
+    return gen[v]
+
+
+def _orbit(x, gens: list[tuple[int, ...]], image) -> set:
+    """The set holding ``x`` and closed under ``image(y, gen)`` for every
+    generator: the orbit of ``x`` under the group ``gens`` generate,
+    acting on whatever ``image`` maps (vertices, vertex subsets)."""
+    orbit = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for gen in gens:
+            z = image(y, gen)
+            if z not in orbit:
+                orbit.add(z)
+                stack.append(z)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +332,6 @@ def relabel_rows(rows: Rows, perm: tuple[int, ...]) -> Rows:
     return tuple(out)
 
 
-def canonical_rows(rows: Rows) -> Rows:
-    """The graph relabeled into its canonical order."""
-    return relabel_rows(rows, canonical_perm(rows))
-
-
 # ---------------------------------------------------------------------------
 # public, Graph-level
 # ---------------------------------------------------------------------------
@@ -339,7 +343,9 @@ def canonical_key(g: Graph) -> bytes:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return Graph.from_rows(canonical_rows(g.rows()))
+    """The graph relabeled into its canonical order."""
+    rows = g.rows()
+    return Graph.from_rows(relabel_rows(rows, canonical_perm(rows)))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -325,23 +325,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several subcommands share, declared once
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true")
+    jobs_opt = argparse.ArgumentParser(add_help=False)
+    jobs_opt.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("check", help="decide a property per graph")
+    p = sub.add_parser("check", parents=[json_opt],
+                       help="decide a property per graph")
     p.add_argument("file", help="graph file (graph6 or edge-list lines), "
                    "- for stdin")
     p.add_argument("--property", required=True, choices=PROPERTY_CHOICES)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("minimal", help="decide minor-minimality per graph")
+    p = sub.add_parser("minimal", parents=[json_opt],
+                       help="decide minor-minimality per graph")
     p.add_argument("file", help="graph file, - for stdin")
     p.add_argument("--property", required=True,
                    choices=tuple(pr.value for pr in Property))
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser(
-        "search",
+        "search", parents=[json_opt, jobs_opt],
         help="enumerate graphs and keep the minor-minimal ones",
     )
     p.add_argument("--order", required=True, type=_parse_orders,
@@ -353,34 +358,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planarity", choices=("all", "planar", "nonplanar"),
                    default="nonplanar",
                    help="pool filter when no --property is given")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write found graphs as graph6 lines")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify-catalog",
+    p = sub.add_parser("verify-catalog", parents=[json_opt, jobs_opt],
                        help="re-derive every claim of the embedded catalog")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_catalog)
 
-    p = sub.add_parser("tables",
+    p = sub.add_parser("tables", parents=[json_opt, jobs_opt],
                        help="reproduce the minor-minimal count tables")
     p.add_argument("--scale", required=True, choices=("desk", "full"))
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("expand",
+    p = sub.add_parser("expand", parents=[json_opt, jobs_opt],
                        help="close seeds under moves and sieve the family")
     p.add_argument("file", help="seed graph file, - for stdin")
     p.add_argument("--moves", default=",".join(MOVE_NAMES),
                    help="comma list from ty,yt (default both)")
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--property", required=True, choices=("NE", "NC"))
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write found graphs as graph6 lines")
     p.set_defaults(func=_cmd_expand)
 

@@ -16,19 +16,20 @@ same set of children, sometimes in another order (argument there).
 
 Both orbit tests, skipping a subset in the orbit of an earlier one in
 ``_expand_parent`` and accepting when the canonically last vertex is in
-the orbit of the new one in ``_accept``, use the generators the
-canonical search discovered plus the twin transpositions of
-``_twin_swaps``.  The search never branches on an interchangeable cell,
-so it never reports twin swaps itself.  Swapping two vertices with equal
-open neighborhoods, or with equal closed neighborhoods, is an
-automorphism, and both tests are sound positive tests: a skipped subset
-gives a child isomorphic to one already tried, which acceptance and key
-deduplication would have dropped; an accepted child is one whose last
-vertex deletes to the parent, which the slow path would have accepted.
-So extra true automorphisms only spare labelings, and the (key, rows)
-output and its order are unchanged.  The swaps are added here and not in
-the canonical search, whose trace and ``(key, perm, gens)`` stay as
-they are.
+the orbit of the new one in ``_accept``, close the point with
+``canon._orbit``, the closure the canonical search uses for its own
+branch orbits.  They use the generators the canonical search discovered
+plus the twin transpositions of ``_twin_swaps``.  The search never
+branches on an interchangeable cell, so it never reports twin swaps
+itself.  Swapping two vertices with equal open neighborhoods, or with
+equal closed neighborhoods, is an automorphism, and both tests are sound
+positive tests: a skipped subset gives a child isomorphic to one already
+tried, which acceptance and key deduplication would have dropped; an
+accepted child is one whose last vertex deletes to the parent, which the
+slow path would have accepted.  So extra true automorphisms only spare
+labelings, and the (key, rows) output and its order are unchanged.  The
+swaps are added here and not in the canonical search, whose trace and
+``(key, perm, gens)`` stay as they are.
 
 Levels below the target order must be complete universes (an augmenting
 chain may pass through graphs violating any final filter), so filters
@@ -75,8 +76,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .canon import canonical_data, canonical_key_rows, relabel_rows, \
-    root_cells
+from .canon import _orbit, _vertex_image, canonical_data, \
+    canonical_key_rows, relabel_rows, root_cells
 from .errors import ResourceLimitError
 from .graphs import Graph, Rows, rows_component_masks, rows_delete_vertex, \
     rows_size, rows_twin_firsts
@@ -242,16 +243,7 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None,
             # isomorphic children; keep the first representative
             if s in seen_subsets:
                 continue
-            orbit = {s}
-            stack = [s]
-            while stack:
-                t = stack.pop()
-                for gen in gens:
-                    img = _subset_image(t, gen)
-                    if img not in orbit:
-                        orbit.add(img)
-                        stack.append(img)
-            seen_subsets |= orbit
+            seen_subsets |= _orbit(s, gens, _subset_image)
 
         child = tuple(
             parent[v] | (((s >> v) & 1) << n) for v in range(n)
@@ -317,18 +309,8 @@ def _accept(child: Rows, new: int, parent: Rows,
     if last == new:
         return key, perm
     gens = gens + _twin_swaps(child)
-    if gens:
-        orbit = {new}
-        stack = [new]
-        while stack:
-            v = stack.pop()
-            for gen in gens:
-                img = gen[v]
-                if img not in orbit:
-                    orbit.add(img)
-                    stack.append(img)
-        if last in orbit:
-            return key, perm
+    if last in _orbit(new, gens, _vertex_image):
+        return key, perm
     reduced = rows_delete_vertex(child, last)
     if sorted(r.bit_count() for r in reduced) != \
             sorted(r.bit_count() for r in parent):

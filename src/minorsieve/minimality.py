@@ -140,20 +140,27 @@ _NONPLANAR_PROPS = frozenset({
 # one-step minors
 # ---------------------------------------------------------------------------
 
-def one_step_minor_rows(rows: Rows) -> list[Rows]:
-    """Canonical representatives of all single-operation minors.
+def _labeled_minors(rows: Rows) -> list[Rows]:
+    """Every single-operation minor as labeled rows: the vertex
+    deletions, then a deletion and a contraction per edge.
 
     Vertex deletions are included alongside the two edge operations:
     graphs with isolated vertices (disconnected minimal examples have
-    them below) are unreachable by edge operations alone.  Results are
-    deduplicated by canonical key and sorted by it.
+    them below) are unreachable by edge operations alone.
     """
     children = [rows_delete_vertex(rows, v) for v in range(len(rows))]
     for u, v in edges_from_rows(rows):
         children.append(rows_delete_edge(rows, u, v))
         children.append(rows_contract_edge(rows, u, v))
+    return children
+
+
+def one_step_minor_rows(rows: Rows) -> list[Rows]:
+    """Canonical representatives of all single-operation minors
+    (``_labeled_minors``), deduplicated by canonical key and sorted by
+    it."""
     out: dict[bytes, Rows] = {}
-    for child in children:
+    for child in _labeled_minors(rows):
         key, perm, _ = canonical_data(child)
         if key not in out:
             out[key] = relabel_rows(child, perm)
@@ -165,7 +172,7 @@ def one_step_minors(g: Graph) -> list[Graph]:
 
 
 def _twin_minors(rows: Rows) -> Iterator[Rows]:
-    """Labeled single-operation minors in ``one_step_minor_rows``' order,
+    """Labeled single-operation minors in ``_labeled_minors``' order,
     one per orbit of the twin swaps.  The swaps permute each twin class
     (``rows_twin_firsts``) freely, so one vertex per class, and one edge
     per pair of classes or per closed class, stands for all."""
@@ -316,7 +323,9 @@ def is_minor_minimal_exhaustive(g: Graph, prop: Property) -> bool:
     complete), so it has at least eight, and so do the graphs it is a
     minor of.  Edge counts never grow along a minor walk, so every
     member with eight or more edges is still reached through members
-    with eight or more.  Its order and member caps are
+    with eight or more.  Each labeled minor is keyed once, after the
+    size test; the walk shares no code with ``_twin_minors``, whose
+    decider it checks.  Its order and member caps are
     ``EXHAUSTIVE_ORDER_CAP`` and ``SIEVE_MEMBER_CAP``.
     """
     if g.order > EXHAUSTIVE_ORDER_CAP:
@@ -331,7 +340,7 @@ def is_minor_minimal_exhaustive(g: Graph, prop: Property) -> bool:
     while frontier:
         grown = []
         for cur in frontier:
-            for child in one_step_minor_rows(cur):
+            for child in dict.fromkeys(_labeled_minors(cur)):
                 if rows_size(child) < min_size:
                     continue
                 key = canonical_key_rows(child)

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from minorsieve import EnumFilter, Graph, canonical_graph, canonical_key, \
     generate_graphs, is_isomorphic
-from minorsieve.canon import canonical_perm, root_cells
+from minorsieve.canon import _orbit, _vertex_image, canonical_perm, \
+    root_cells
+from minorsieve.generate import _subset_image
 
 from conftest import random_graph
 
@@ -133,3 +135,49 @@ def test_root_cells_are_blocks_of_the_canonical_order():
             blocks.append(sum(1 << v for v in perm[start:start + size]))
             start += size
         assert blocks == cells, rows
+
+
+def _random_gen(rng: random.Random, n: int) -> tuple[int, ...]:
+    """A random permutation of range(n), or one cycle on a random few
+    points, so the generated groups range from tiny to all of S_n."""
+    if rng.random() < 0.3:
+        return tuple(rng.sample(range(n), n))
+    gen = list(range(n))
+    pts = rng.sample(range(n), rng.randint(1, n))
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        gen[a] = b
+    return tuple(gen)
+
+
+def _group(n: int, gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every product of the generators, by composing until no new
+    permutation appears (a finite monoid of permutations is a group)."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for h in gens:
+            gh = tuple(h[g[i]] for i in range(n))
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
+
+
+def test_orbit_is_the_orbit_of_the_generated_group():
+    """``canon._orbit`` against the group closure of seeded random
+    generator lists on at most 7 points, for vertices and for vertex
+    subsets.  Orbit pruning is a sound positive test, so an orbit that
+    is closed too little still yields every level unchanged; only this
+    comparison sees it."""
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = [_random_gen(rng, n) for _ in range(rng.randint(0, 4))]
+        group = _group(n, gens)
+        for v in range(n):
+            assert _orbit(v, gens, _vertex_image) == \
+                {g[v] for g in group}, (gens, v)
+        for s in rng.sample(range(1 << n), min(8, 1 << n)):
+            assert _orbit(s, gens, _subset_image) == \
+                {_subset_image(s, g) for g in group}, (gens, s)

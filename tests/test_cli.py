@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -112,6 +113,22 @@ def test_unknown_property_rejected_by_parser(k6_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", k6_file, "--property", "XX"])
     assert exc.value.code == 2
+
+
+def test_jobs_is_not_an_option_of_check(k6_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", k6_file, "--property", "NA", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_json_and_jobs_options_per_subcommand():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert all("--json" in p._option_string_actions
+               for p in sub.choices.values())
+    assert {name for name, p in sub.choices.items()
+            if "--jobs" in p._option_string_actions} == \
+        {"search", "verify-catalog", "tables", "expand"}
 
 
 def test_bad_order_range_rejected(capsys):
