@@ -13,7 +13,6 @@ from .errors import CatalogError, EdgeListParseError, Graph6ParseError, \
 from .graphs import Graph, disjoint_union, one_vertex_union, two_vertex_union
 from .canon import canonical_graph, canonical_key, is_isomorphic
 from .planarity import is_planar
-from .oracles import find_k_subgraph, has_minor
 from .properties import Property, UPWARD_CLOSED, Witness, check, \
     check_with_witness, find_apex_edge, find_apex_vertex, \
     find_contraction_apex
@@ -63,9 +62,7 @@ __all__ = [
     "find_apex_edge",
     "find_apex_vertex",
     "find_contraction_apex",
-    "find_k_subgraph",
     "generate_graphs",
-    "has_minor",
     "is_isomorphic",
     "is_minor_minimal",
     "is_minor_minimal_exhaustive",

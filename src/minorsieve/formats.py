@@ -6,7 +6,7 @@ prefix the order is the largest label mentioned, which cannot express
 isolated vertices.  graph6 is the standard printable interchange
 encoding (6-bit groups offset by 63, upper triangle read column by
 column), emitted here for orders up to 62 and decoded for any header
-length.
+length.  Both readers reject an order above ``canon.MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -188,6 +188,8 @@ def parse_graph6(line: str) -> Graph:
         idx = 8
     else:
         raise Graph6ParseError("truncated graph6 order header")
+    if n > MAX_ORDER:  # before the payload is decoded
+        raise Graph6ParseError(f"order {n} is above {MAX_ORDER}")
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
     if len(data) - idx != ngroups:

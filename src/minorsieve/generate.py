@@ -352,20 +352,14 @@ def _chunked(items: list, jobs: int) -> list[list]:
     return [items[i:i + span] for i in range(0, len(items), span)]
 
 
-def _expand_chunk(args: tuple[list[Rows], EnumFilter | None, bool]
-                  ) -> list[tuple[bytes, Rows]]:
-    parents, filt, relabel = args
-    return [pair for parent in parents
-            for pair in _expand_parent(parent, filt, relabel)]
-
-
 def _level_task(args: tuple[list[Rows], EnumFilter | None, Property | bool]
                 ) -> tuple[int, list[tuple[bytes, Rows]]]:
     """Expand one chunk of parents: the number of accepted children,
     and the (key, canonical rows) of those that ``keep`` names (see
     ``_final_pairs``).  A count relabels no child."""
     parents, filt, keep = args
-    pairs = _expand_chunk((parents, filt, keep is not False))
+    pairs = [pair for parent in parents
+             for pair in _expand_parent(parent, filt, keep is not False)]
     if len({key for key, _ in pairs}) != len(pairs):
         raise RuntimeError("duplicate canonical forms in one "
                            "enumeration chunk")

@@ -48,7 +48,8 @@ boolean callers more than they save, so ``is_planar_rows`` keeps them
 off.
 
 The independent checks of this test (the K5 / K3,3 minor walk and the
-Kuratowski witness) live in the oracles module.
+kernel as it stood before the peel) live in the test suite, outside the
+package.
 """
 
 from __future__ import annotations

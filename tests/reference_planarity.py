@@ -1,12 +1,24 @@
-"""The left-right test as it stood before the peel and the subgraph
-certificates: no peel, the ``bits`` generator, five helper closures and
-a write-only ``side`` array.  Kept only as a reference for
-``tests/test_planarity.py``; nothing in ``src/`` imports it.
+"""Two references that the tests check the planarity test against
+(``tests/test_planarity.py``, and acceptance criterion 5 for
+``has_minor``); nothing in ``src/`` imports this module.
+
+* ``is_planar_rows``: the left-right test as it stood before the peel
+  and the subgraph certificates: no peel, the ``bits`` generator, five
+  helper closures and a write-only ``side`` array.
+* ``has_minor``: K5 / K3,3 minor containment by an exhaustive memoized
+  contraction walk whose base case is a K5 subgraph test
+  (``_has_clique5``, here) or the planarity module's K3,3 subgraph
+  test.  It never consults the left-right test, so the two can check
+  each other.
 """
 
 from __future__ import annotations
 
-from minorsieve.graphs import Rows, bits
+from itertools import combinations
+
+from minorsieve.canon import canonical_key_rows
+from minorsieve.graphs import Graph, Rows, bits, rows_contract_edge
+from minorsieve.planarity import _has_k33_subgraph
 
 
 def is_planar_rows(rows: Rows) -> bool:
@@ -209,3 +221,61 @@ def _lr_planar(n: int, rows: Rows, m: int) -> bool:
                     remove_back_edges(e)
                 stack.pop()
     return True
+
+
+# ---------------------------------------------------------------------------
+# K5 / K3,3 minor oracle (independent of the left-right test)
+# ---------------------------------------------------------------------------
+
+def _has_clique5(rows: Rows) -> bool:
+    """Five pairwise adjacent vertices, by brute force."""
+    cand = [v for v, r in enumerate(rows) if r.bit_count() >= 4]
+    return any(all(rows[a] >> b & 1 for a, b in combinations(five, 2))
+               for five in combinations(cand, 5))
+
+
+_K5_MEMO: dict[bytes, bool] = {}
+_K33_MEMO: dict[bytes, bool] = {}
+
+
+def _minor_walk(rows: Rows, memo: dict[bytes, bool], contains, min_order: int,
+                min_size: int) -> bool:
+    n = len(rows)
+    if n < min_order or sum(r.bit_count() for r in rows) // 2 < min_size:
+        return False
+    if contains(rows):
+        return True
+    key = canonical_key_rows(rows)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    memo[key] = False  # cycle-safe placeholder; contraction strictly shrinks
+    for u in range(n):
+        r = rows[u] >> (u + 1)
+        while r:
+            low = r & -r
+            v = u + 1 + low.bit_length() - 1
+            r ^= low
+            if _minor_walk(rows_contract_edge(rows, u, v), memo, contains,
+                           min_order, min_size):
+                memo[key] = True
+                return True
+    return False
+
+
+def has_minor(g: Graph, h: Graph) -> bool:
+    """Exact minor containment for h among the two Kuratowski graphs.
+
+    A graph has an H minor for complete-ish H exactly when some sequence
+    of edge contractions produces an H subgraph, so the walk explores
+    contractions only, deduplicated by canonical key.  The memo is shared
+    across calls, which makes exhaustive sweeps cheap.
+    """
+    if h.order == 5 and h.size == 10:
+        return _minor_walk(g.rows(), _K5_MEMO, _has_clique5, 5, 10)
+    if (h.order, h.size) == (6, 9) and set(h.degrees()) == {3}:
+        # complete bipartite 3+3 is the only 3-regular order-6 graph with
+        # a 3,3 biclique, and _has_k33_subgraph(h) confirms it
+        if _has_k33_subgraph(h.rows()):
+            return _minor_walk(g.rows(), _K33_MEMO, _has_k33_subgraph, 6, 9)
+    raise ValueError("minor oracle supports K5 and K3,3 targets only")

@@ -16,11 +16,12 @@ import pytest
 
 from minorsieve import EnumFilter, Graph, Property, build_named, \
     canonical_key, count_graphs, enumerate_graphs, find_apex_vertex, \
-    has_minor, is_minor_minimal_exhaustive, is_mmnc, is_mmne, is_planar, \
+    is_minor_minimal_exhaustive, is_mmnc, is_mmne, is_planar, \
     mm_catalog, mmne_structure_violations, search_minor_minimal
 from minorsieve.cli import main
 
 from conftest import random_graph
+from reference_planarity import has_minor
 
 
 def emit(ok: bool, label: str, detail: str) -> None:

@@ -7,10 +7,11 @@ import json
 import os
 import re
 
+import networkx as nx
 import pytest
 
 from minorsieve import Graph, build_named, emit_edge_list, emit_graph6, \
-    mm_catalog
+    mm_catalog, parse_graph6
 from minorsieve import cli
 from minorsieve.cli import _TABLE_ROWS, _TABLE_SIZES, main
 from minorsieve.errors import CatalogError
@@ -166,6 +167,18 @@ def test_huge_declared_order_is_usage_error(tmp_path, capsys):
     f.write_text("1000000000;{}\n")
     assert main(["check", str(f), "--property", "planar"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_graph6_order_is_bounded_like_edge_lists(tmp_path, capsys):
+    # paths in graph6 with the four-byte '~' order header
+    lines = {n: nx.to_graph6_bytes(nx.path_graph(n), header=False)
+             .decode().strip() for n in (255, 256)}
+    assert all(line.startswith("~") for line in lines.values())
+    assert parse_graph6(lines[255]).order == 255
+    f = tmp_path / "path256.g6"
+    f.write_text(lines[256] + "\n")
+    assert main(["check", str(f), "--property", "NE"]) == 2
+    assert capsys.readouterr().err == "parse error: order 256 is above 255\n"
 
 
 def test_count_only_pool(capsys):

@@ -230,9 +230,9 @@ def test_level_planarity_is_tested_once(monkeypatch):
 
 
 def test_merge_rejects_duplicate_children(monkeypatch):
-    expand = generate._expand_chunk
-    monkeypatch.setattr(generate, "_expand_chunk",
-                        lambda args: expand(args) * 2)
+    expand = generate._expand_parent
+    monkeypatch.setattr(generate, "_expand_parent",
+                        lambda *args: expand(*args) * 2)
     with pytest.raises(RuntimeError, match="duplicate canonical forms"):
         count_graphs(EnumFilter(order=5, connected=True))
 

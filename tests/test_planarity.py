@@ -4,20 +4,19 @@ The left-right test is cross-checked against the published planarity
 check in networkx on random and exhaustive pools, against the
 Kuratowski-minor oracle (planar iff neither a K5 nor a K3,3 minor),
 which shares no code with the left-right test, and against the kernel
-as it stood before the peel and the subgraph certificates
-(``reference_planarity``).  The oracle and ``is_planar_rows`` share the
-K3,3 subgraph certificate; it and the oracle's K5 test are checked
-against networkx subgraph monomorphism, and the rule that decides small
-cores by the K3,3 test alone is checked on every labeled core it covers.
-Each mask ``nonplanar_witness`` returns is checked to be a K3,3
-subdivision inside its graph that networkx finds nonplanar.
+as it stood before the peel and the subgraph certificates.  Both
+references live in ``reference_planarity``, outside the package.  The
+oracle and ``is_planar_rows`` share the K3,3 subgraph certificate; it
+and the oracle's K5 test are checked against networkx subgraph
+monomorphism, and the rule that decides small cores by the K3,3 test
+alone is checked on every labeled core it covers.  Each mask
+``nonplanar_witness`` returns is checked to be a K3,3 subdivision
+inside its graph that networkx finds nonplanar.
 """
 
 from __future__ import annotations
 
-import ast
 from functools import lru_cache
-from pathlib import Path
 import random
 
 import networkx as nx
@@ -26,16 +25,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minorsieve
-from minorsieve import Graph, find_k_subgraph, has_minor, is_planar
+from minorsieve import Graph, is_planar
 from minorsieve.canon import relabel_rows
 from minorsieve.generate import universe_level
 from minorsieve.graphs import Rows, bits, edges_from_rows, rows_add_edge, \
     rows_delete_edge, rows_subdivide_edge
-from minorsieve.oracles import _has_clique5
 from minorsieve.planarity import _contracted_k33, _has_k33_subgraph, \
     _lr_memo, _lr_planar, _peel, is_planar_rows, nonplanar_witness
 
 import reference_planarity
+from reference_planarity import _has_clique5, has_minor
 from conftest import random_graph, to_networkx
 
 K5 = Graph.complete(5)
@@ -312,78 +311,3 @@ def test_lr_memo_is_bounded():
 def test_minor_oracle_target_validation():
     with pytest.raises(ValueError):
         has_minor(K5, Graph.complete(4))
-
-
-def _validate_witness(g: Graph, w) -> None:
-    assert w.kind in ("K5", "K33")
-    branch = w.branch_vertices
-    if w.kind == "K5":
-        assert len(branch) == 5
-        expected_paths = 10
-    else:
-        assert len(branch) == 6
-        expected_paths = 9
-    assert len(w.paths) == expected_paths
-    seen_interior = set()
-    for path in w.paths:
-        assert path[0] in branch and path[-1] in branch
-        for a, b in zip(path, path[1:]):
-            assert g.has_edge(a, b)
-        interior = path[1:-1]
-        assert all(v not in branch for v in interior)
-        # interior vertices belong to one path only
-        assert not (set(interior) & seen_interior)
-        seen_interior.update(interior)
-    # the witness itself is a nonplanar subgraph of g
-    sub = Graph(g.order, list(w.edges()))
-    assert not is_planar(sub)
-    if w.kind == "K33":
-        # branch vertices split into two sides of three, paths crossing
-        ends = {frozenset((p[0], p[-1])) for p in w.paths}
-        assert len(ends) == 9
-
-
-def test_kuratowski_witness_on_anchors():
-    for g in (K5, K33, Graph.complete(6), Graph.complete_bipartite(4, 4)):
-        w = find_k_subgraph(g)
-        assert w is not None
-        _validate_witness(g, w)
-    assert find_k_subgraph(Graph.complete(4)) is None
-
-
-def test_kuratowski_witness_random(reps7):
-    rng = random.Random(23)
-    checked = 0
-    for g in rng.sample(reps7, 400):
-        w = find_k_subgraph(g)
-        if is_planar(g):
-            assert w is None
-        else:
-            _validate_witness(g, w)
-            checked += 1
-    assert checked > 30
-
-
-def _imported_modules(path: Path) -> set[str]:
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom):
-            base = "." * node.level + (node.module or "")
-            names.add(base)
-            names.update(f"{base}.{a.name}" if node.module else base + a.name
-                         for a in node.names)
-        elif isinstance(node, ast.Import):
-            names.update(a.name for a in node.names)
-    return names
-
-
-def test_only_the_package_root_imports_the_oracles():
-    package = Path(minorsieve.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        uses = {name for name in _imported_modules(path)
-                if name.rsplit(".", 1)[-1] == "oracles"}
-        assert not uses, f"{path.name} imports {sorted(uses)}"
-    assert "oracles" in {name.lstrip(".") for name in
-                         _imported_modules(package / "__init__.py")}
