@@ -31,15 +31,28 @@ labelings, and the (key, rows) output and its order are unchanged.  The
 swaps are added here and not in the canonical search, whose trace and
 ``(key, perm, gens)`` stay as they are.
 
-Levels below the target order must be complete universes (an augmenting
-chain may pass through graphs violating any final filter), so filters
-prune subsets only at the last level, where their effect on the child
-is exact: attaching the new vertex to S adds |S| edges, raises exactly
-the degrees in S by one, and connects precisely the components S
-touches.  Planarity is not subset-expressible, but every child contains
+Levels below the target order must hold every parent that a member of
+the final level can have (an augmenting chain may pass through graphs
+violating the final filter), so filters prune subsets only at the last
+level, where their effect on the child is exact: attaching the new
+vertex to S adds |S| edges, raises exactly the degrees in S by one, and
+connects precisely the components S touches.  Planarity is not subset-expressible, but every child contains
 its parent as a subgraph, so a child of a nonplanar parent is nonplanar.
 The parent is tested once, at its first accepted child, and only the
 children of a planar parent are tested themselves.
+
+Minimum degree is the one filter that also restricts the levels below.
+The canonically last vertex y of a child G lies in the last root cell,
+and ``_refine`` splits by degree in decreasing order first, so y has
+G's minimum degree (``_accept``'s degree-pair pre-test relies on the
+same).  The parent is G - y, and deleting y takes at most one neighbor
+from each other vertex, so the parent's minimum degree is at least G's
+less one.  Hence an order-n level of minimum degree d needs only the
+order-(n - 1) parents of minimum degree at least d - 1
+(``_degree_level``), and level k of the chain those of at least
+d - (n - k); each such level holds the parents of all its members.
+These levels are built, used and dropped; only the universe levels
+below them are cached.
 
 A final level whose filter sets planarity and nothing else is the
 universe level of its order, filtered by ``is_planar_rows``.  Such a
@@ -187,7 +200,10 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None,
     rejected.  The test depends only on degrees, so it holds for all of
     an automorphism orbit of subsets or for none of it, and skipping a
     subset before its orbit is recorded drops no representative.  The
-    parent is labeled only after every early return.
+    parent is labeled only after every early return.  The same fact
+    restricts the parent levels themselves (module docstring), so a
+    level pass never hands over a parent that the minimum-degree filter
+    below returns on at once.
     """
     n = len(parent)
     degrees = [r.bit_count() for r in parent]
@@ -372,13 +388,30 @@ def _level_task(args: tuple[list[Rows], EnumFilter | None, Property | bool]
     return count, pairs
 
 
+def _degree_level(n: int, d: int, jobs: int) -> list[Rows]:
+    """The order-n classes of minimum degree at least d, in key order:
+    the universe level, filtered when it is cached and built from the
+    level below by the same rule when it is not (module docstring)."""
+    if d <= 0:
+        return universe_level(n, jobs)
+    if d >= n:
+        return []
+    level = _UNIVERSE.get(n)
+    if level is not None:
+        return [rows for rows in level
+                if min(r.bit_count() for r in rows) >= d]
+    return _expand_level(n, EnumFilter(order=n, min_degree=d), jobs)[1]
+
+
 def _expand_level(n: int, filt: EnumFilter | None, jobs: int,
                   shard: int = 0, shards: int = 1,
                   keep: Property | bool = True) -> tuple[int, list[Rows]]:
     """Stream the accepted children of every ``shards``-th order-(n - 1)
-    parent from ``shard`` on (see the module docstring): their number,
-    and the canonical rows of those ``keep`` names, in key order."""
-    parents = universe_level(n - 1, jobs)[shard::shards]
+    parent the filter's minimum degree allows, from ``shard`` on (see the
+    module docstring): their number, and the canonical rows of those
+    ``keep`` names, in key order."""
+    bound = (filt.min_degree if filt is not None else 0) - 1
+    parents = _degree_level(n - 1, bound, jobs)[shard::shards]
     tasks = [(chunk, filt, keep) for chunk in _chunked(parents, jobs)]
     count = 0
     kept: list[tuple[bytes, Rows]] = []

@@ -199,8 +199,13 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
         raise ValueError(f"{prop} is not upward-closed; use the sieve or oracle")
     if not check(g, prop):
         return False
-    return not any(check(Graph.from_rows(m), prop)  # repeats skipped
-                   for m in dict.fromkeys(_twin_minors(g.rows())))
+    seen = set()  # repeats skipped; minors built only up to the first hit
+    for m in _twin_minors(g.rows()):
+        if m not in seen:
+            seen.add(m)
+            if check(Graph.from_rows(m), prop):
+                return False
+    return True
 
 
 def _pivot_walk(rows: Rows, step, scan, label: str) -> bool:

@@ -11,6 +11,7 @@ from minorsieve import EnumFilter, Graph, Property, build_named, \
     count_graphs, enumerate_graphs, enumerate_partition, generate_graphs, \
     search_minor_minimal
 from minorsieve import generate
+from minorsieve.cli import main
 from minorsieve.planarity import is_planar_rows
 
 from conftest import random_graph, rows_from_edges
@@ -90,6 +91,17 @@ def test_partition_shards_tile_the_universe():
     ]
     assert set().union(*shards) == whole
     assert sum(len(s) for s in shards) == len(whole)  # pairwise disjoint
+
+
+def test_partition_shards_tile_a_min_degree_pool():
+    """A minimum-degree pool deals out its restricted parent level."""
+    filt = EnumFilter(order=8, min_degree=3)
+    whole = [g.rows() for g in enumerate_graphs(filt)]
+    shards = [[g.rows() for g in enumerate_partition(filt, s, 4)]
+              for s in range(4)]
+    assert all(shards)
+    assert sorted(rows for shard in shards for rows in shard) == \
+        sorted(whole)  # a tiling: no member lost, none in two shards
 
 
 def test_partition_argument_validation():
@@ -290,6 +302,53 @@ def test_count_never_relabels(monkeypatch):
     monkeypatch.setattr(generate, "relabel_rows", relabel)
     for jobs in (1, 2):
         assert count_graphs(filt, jobs) == want > 0
+
+
+# ---------------------------------------------------------------------------
+# parent levels restricted by minimum degree
+# ---------------------------------------------------------------------------
+
+def test_restricted_levels_equal_the_filtered_universe(monkeypatch):
+    """Every minimum-degree level, built cold from restricted parent
+    levels, is the universe level filtered by ``admits``, row for row.
+    The degrees descend, so each chain is built down to the universe
+    level of order n - d, the only one a restricted chain caches."""
+    filters = [EnumFilter(n, min_degree=d, connected=c, planarity=p)
+               for d in range(5, 0, -1) for n in range(2, 9)
+               for c in (False, True) for p in ("all", "planar", "nonplanar")]
+    want = {filt: [rows for rows in generate.universe_level(filt.order)
+                   if filt.admits(rows)] for filt in filters}
+    monkeypatch.setattr(generate, "_UNIVERSE", {1: [(0,)]})
+    monkeypatch.setattr(generate, "_PLANAR", {})
+    deepest = 1
+    for filt in filters:
+        assert generate._final_pairs(filt)[1] == want[filt], filt
+        deepest = max(deepest, filt.order - filt.min_degree)
+        assert max(generate._UNIVERSE) == deepest, filt
+    assert any(want.values())
+
+
+@pytest.mark.parametrize("order,min_degree,prop", [
+    (1, 1, None), (2, 5, None), (5, 99999999999999999999, None),
+    (3, 7, Property.NE),
+])
+def test_min_degree_past_the_order_builds_nothing(order, min_degree, prop,
+                                                  monkeypatch, capsys):
+    """No graph of order n has minimum degree n or more, so the pool is
+    empty before any level is built, in the API and the CLI."""
+    monkeypatch.setattr(generate, "_UNIVERSE", {1: [(0,)]})
+    argv = ["search", "--order", str(order), "--min-degree", str(min_degree),
+            "--count-only"]
+    if prop is None:
+        scanned = count_graphs(EnumFilter(order, min_degree=min_degree,
+                                          planarity="nonplanar"))
+    else:
+        scanned = search_minor_minimal(prop, [order], min_degree).scanned
+        argv += ["--property", prop.value]
+    assert scanned == 0
+    assert main(argv) == 0
+    assert "scanned 0" in capsys.readouterr().out.splitlines()
+    assert generate._UNIVERSE == {1: [(0,)]}
 
 
 # ---------------------------------------------------------------------------

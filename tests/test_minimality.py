@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from minorsieve import minimality
 from minorsieve import Graph, Property, ResourceLimitError, UPWARD_CLOSED, \
     all_entries, build_named, check, disjoint_union, is_minor_minimal, \
     is_minor_minimal_exhaustive, is_minor_minimal_upclosed, is_mmnc, \
@@ -37,6 +38,27 @@ def test_one_step_minors_contains_all_three_operations():
 def test_upclosed_requires_upward_closed_property():
     with pytest.raises(ValueError):
         is_minor_minimal_upclosed(K5, Property.NE)
+
+
+def test_upclosed_stops_at_the_first_minor_with_the_property(monkeypatch):
+    """K7 - v = K6 is NA, and vertex deletion is the first twin minor, so
+    the decider builds no later minor."""
+    twin_minors = minimality._twin_minors
+    built = []
+
+    def counting(rows):
+        for m in twin_minors(rows):
+            built.append(m)
+            yield m
+
+    monkeypatch.setattr(minimality, "_twin_minors", counting)
+    k7 = Graph.complete(7)
+    assert not is_minor_minimal_upclosed(k7, Property.NA)
+    assert len(built) == 1 < len(list(twin_minors(k7.rows())))
+    k6 = Graph.complete(6)
+    built.clear()
+    assert is_minor_minimal_upclosed(k6, Property.NA)  # every minor built
+    assert len(built) == len(list(twin_minors(k6.rows())))
 
 
 def reference_upclosed(g: Graph, prop: Property, minors: list[Graph]) -> bool:
