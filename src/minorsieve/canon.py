@@ -30,7 +30,7 @@ the adjacency bitmasks, and the Graph-facing wrappers live at the bottom.
 from __future__ import annotations
 
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows, bits
+from .graphs import Graph, Rows, bits, rows_twin_firsts
 
 # hard cap on leaves visited by one canonical search; hit only by graphs far
 # outside this package's order range, and hitting it is an error, not a
@@ -223,6 +223,30 @@ class _Search:
 
 def _vertex_image(v: int, gen: tuple[int, ...]) -> int:
     return gen[v]
+
+
+def _subset_image(s: int, gen: tuple[int, ...]) -> int:
+    img = 0
+    while s:
+        low = s & -s
+        img |= 1 << gen[low.bit_length() - 1]
+        s ^= low
+    return img
+
+
+def _twin_swaps(rows: Rows) -> list[tuple[int, ...]]:
+    """Each vertex swapped with the first of its twin class
+    (``rows_twin_firsts``); each transposition is an automorphism.  The
+    search never branches on an interchangeable cell, so it never
+    reports these itself."""
+    n = len(rows)
+    swaps: list[tuple[int, ...]] = []
+    for v, u in enumerate(rows_twin_firsts(rows)):
+        if u != v:
+            gen = list(range(n))
+            gen[u], gen[v] = v, u
+            swaps.append(tuple(gen))
+    return swaps
 
 
 def _orbit(x, gens: list[tuple[int, ...]], image) -> set:

@@ -19,7 +19,7 @@ Both orbit tests, skipping a subset in the orbit of an earlier one in
 the orbit of the new one in ``_accept``, close the point with
 ``canon._orbit``, the closure the canonical search uses for its own
 branch orbits.  They use the generators the canonical search discovered
-plus the twin transpositions of ``_twin_swaps``.  The search never
+plus the twin transpositions of ``canon._twin_swaps``.  The search never
 branches on an interchangeable cell, so it never reports twin swaps
 itself.  Swapping two vertices with equal open neighborhoods, or with
 equal closed neighborhoods, is an automorphism, and both tests are sound
@@ -89,11 +89,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .canon import _orbit, _vertex_image, canonical_data, \
-    canonical_key_rows, relabel_rows, root_cells
+from .canon import _orbit, _subset_image, _twin_swaps, _vertex_image, \
+    canonical_data, canonical_key_rows, relabel_rows, root_cells
 from .errors import ResourceLimitError
 from .graphs import Graph, Rows, rows_component_masks, rows_delete_vertex, \
-    rows_size, rows_twin_firsts
+    rows_size
 from .minimality import is_minor_minimal
 from .parallel import parallel_map, worker_count
 from .planarity import is_planar_rows
@@ -156,28 +156,6 @@ class EnumFilter:
 # ---------------------------------------------------------------------------
 # augmentation core
 # ---------------------------------------------------------------------------
-
-def _subset_image(s: int, gen: tuple[int, ...]) -> int:
-    img = 0
-    while s:
-        low = s & -s
-        img |= 1 << gen[low.bit_length() - 1]
-        s ^= low
-    return img
-
-
-def _twin_swaps(rows: Rows) -> list[tuple[int, ...]]:
-    """Each vertex swapped with the first of its twin class
-    (``rows_twin_firsts``); each transposition is an automorphism."""
-    n = len(rows)
-    swaps: list[tuple[int, ...]] = []
-    for v, u in enumerate(rows_twin_firsts(rows)):
-        if u != v:
-            gen = list(range(n))
-            gen[u], gen[v] = v, u
-            swaps.append(tuple(gen))
-    return swaps
-
 
 def _expand_parent(parent: Rows, filt: EnumFilter | None,
                    relabel: bool = True) -> list[tuple[bytes, Rows]]:
@@ -368,6 +346,12 @@ def _chunked(items: list, jobs: int) -> list[list]:
     return [items[i:i + span] for i in range(0, len(items), span)]
 
 
+def _decide_chunk(args: tuple[Property, list[Rows]]) -> list[Rows]:
+    prop, pool = args
+    return [rows for rows in pool
+            if is_minor_minimal(Graph.from_rows(rows), prop)]
+
+
 def _level_task(args: tuple[list[Rows], EnumFilter | None, Property | bool]
                 ) -> tuple[int, list[tuple[bytes, Rows]]]:
     """Expand one chunk of parents: the number of accepted children,
@@ -383,8 +367,9 @@ def _level_task(args: tuple[list[Rows], EnumFilter | None, Property | bool]
     if keep is False:
         return count, []
     if keep is not True:
-        pairs = [(key, rows) for key, rows in pairs
-                 if is_minor_minimal(Graph.from_rows(rows), keep)]
+        # distinct keys, so distinct canonical rows
+        minimal = set(_decide_chunk((keep, [rows for _, rows in pairs])))
+        pairs = [pair for pair in pairs if pair[1] in minimal]
     return count, pairs
 
 
@@ -420,12 +405,6 @@ def _expand_level(n: int, filt: EnumFilter | None, jobs: int,
         kept.extend(part)
     kept.sort()
     return count, [rows for _, rows in kept]
-
-
-def _decide_chunk(args: tuple[Property, list[Rows]]) -> list[Rows]:
-    prop, pool = args
-    return [rows for rows in pool
-            if is_minor_minimal(Graph.from_rows(rows), prop)]
 
 
 def _final_pairs(filt: EnumFilter, jobs: int = 1, shard: int = 0,

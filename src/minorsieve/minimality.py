@@ -7,7 +7,8 @@ proper minor does.  Three deciders cover the eight properties:
   negations are minor-closed: there, the property propagates upward
   along the minor order, so checking the one-step minors suffices.  The
   property is an isomorphism invariant, so labeled minors serve as well
-  as canonical ones and ``_twin_minors`` needs no canonical search.
+  as canonical ones, and one minor per automorphism orbit stands for its
+  orbit (``_orbit_minors``; see "Orbits" below).
 
 * ``is_mmne`` and ``is_mmnc`` handle NE and NC, which lack that closure
   (deleting an edge can make a graph NE that was not, and dually).  For
@@ -82,23 +83,27 @@ edge starts one chain: cur = step(g, e); stop if cur is planar (its
 whole closure is); otherwise scan cur, report a hit if the scan finds
 nothing (cur is NE/NC), and else pivot, cur = step(cur, f).
 
-Chains run in ``edges_from_rows`` order, and a chain also stops where
-its next member lies in the closure of an earlier chain's first member.
-That closure holds no NE (NC) graph: chain i ended without a hit, so
-its last member's next member is planar or, by induction on i, lies in
-such a closure, and the lemma above carries "no NE (NC) graph in the
-closure" back along the chain to step(g, e_i).  The walk carries the
-earlier root edges through the chain by the same steps as cur and stops
-when the hit f is one of their images.
+Chains run in ``edges_from_rows`` order, one per automorphism orbit of
+root edges (``_edge_orbit_reps``).  A chain also stops where its next
+member lies in the closure of step(g, e_i) for a done root edge e_i: one
+whose chain ended without a hit, or an image of one under an
+automorphism.  That closure holds no NE (NC) graph.  If chain i ended
+without a hit, its last member's next member is planar or, by induction
+on i, lies in such a closure, and the lemma above carries "no NE (NC)
+graph in the closure" back along the chain to step(g, e_i).  For an
+automorphism s, step(g, s e_i) is the image of step(g, e_i) under s, so
+its closure is the image of that closure, and NE and NC are isomorphism
+invariants.  The walk carries the done root edges through the chain by
+the same steps as cur and stops when the hit f is one of their images.
 * NC.  Deletions keep labels, so cur - f lies in the closure of g - e_i
-  iff e_i is f or already deleted; the chain stopped before any earlier
-  root edge was deleted, so the test is f < e.
+  iff e_i is f or already deleted; the chain stopped before any done
+  root edge was deleted, so the test is whether f is done.
 * NE.  g / C lies in the closure of g / e_i iff C merges the ends of
   e_i.  While they are apart, e_i maps to the edge of cur between their
   classes, and contracting f merges them iff f is that image.
 No set of visited rows is kept.  An NC chain never meets a member of an
-earlier chain, which lacks an earlier root edge; an NE chain can meet
-the rows of one by another partition, and then scans them again.
+earlier chain, which lacks a done root edge; an NE chain can meet the
+rows of one by another partition, and then scans them again.
 
 Each step removes a vertex (NE) or an edge (NC), so a chain is at most n
 (NE) or m (NC) steps long.  A scanned member is nonplanar, so it keeps
@@ -106,16 +111,35 @@ at least five vertices and nine edges, and the root has minimum degree
 two, so m >= n: a chain scans at most m - 5 members, and a decision,
 root check and seeds included, at most 1 + m + m (m - 5) <= m * m.  The
 member cap counts the members a walk scans, the root included.
+
+Orbits.  The group is generated by the automorphisms the canonical
+search discovers and the twin swaps (``_automorphisms``); every
+generator is an automorphism, and a group too small only skips less.
+For an automorphism s of g, the minors g - s e, g / s e and g - s v are
+the images under s of g - e, g / e and g - v, so they have the same
+properties, and step(g, s e) has the image closure used above.  Hence
+the upward-closed decider checks one edge deletion and one contraction
+per edge orbit, and the walk runs one chain per root-edge orbit.  A
+discrete root partition admits only the identity, so it needs no
+search.  The group costs a canonical search, so it is computed late,
+when a decision moves past its first root chain or its first edge's
+two minors; a decision that ends there never pays for it.  Most pool
+decisions end in the root check, the seeds or that first chain or edge,
+so computing the group earlier would charge them a search they do not
+use.  For the same reason the seed loops of ``is_mmne`` and
+``is_mmnc``, which most pool decisions reach, use no group, and the
+vertex deletions, which come before any edge, use only the twin
+classes, which ``rows_twin_firsts`` finds in one pass.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import canonical_data, canonical_key, canonical_key_rows, \
-    relabel_rows
+from .canon import _orbit, _subset_image, _twin_swaps, canonical_data, \
+    canonical_key, canonical_key_rows, relabel_rows, root_cells
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows, edges_from_rows, rows_add_edge, \
+from .graphs import Edge, Graph, Rows, bits, edges_from_rows, \
     rows_contract_edge, rows_delete_edge, rows_delete_vertex, rows_size, \
     rows_twin_firsts
 from .planarity import is_planar_rows
@@ -171,22 +195,46 @@ def one_step_minors(g: Graph) -> list[Graph]:
     return [Graph.from_rows(r) for r in one_step_minor_rows(g.rows())]
 
 
-def _twin_minors(rows: Rows) -> Iterator[Rows]:
-    """Labeled single-operation minors in ``_labeled_minors``' order,
-    one per orbit of the twin swaps.  The swaps permute each twin class
-    (``rows_twin_firsts``) freely, so one vertex per class, and one edge
-    per pair of classes or per closed class, stands for all."""
-    rep = rows_twin_firsts(rows)
-    for v, u in enumerate(rep):
+def _automorphisms(rows: Rows) -> list[tuple[int, ...]]:
+    """Generators of a group of automorphisms of ``rows``: those the
+    canonical search discovers, plus the twin swaps.  None when the root
+    partition is discrete, which only the identity preserves."""
+    cells = root_cells(rows)
+    if len(cells) == len(rows):
+        return []
+    return canonical_data(rows, cells)[2] + _twin_swaps(rows)
+
+
+def _edge_orbit_reps(rows: Rows, done: list[int]) -> Iterator[Edge]:
+    """The edges of ``rows`` in ``edges_from_rows`` order, skipping
+    those in ``done`` (adjacency rows).  When resumed after an edge, the
+    generator adds that edge's orbit under ``_automorphisms`` to
+    ``done``, so it yields one edge per orbit; it computes the group
+    there, at the first resumption, so a caller that stops at the
+    first edge never pays for it."""
+    gens = None
+    for u, v in edges_from_rows(rows):
+        if done[u] >> v & 1:
+            continue
+        yield u, v
+        if gens is None:
+            gens = _automorphisms(rows)
+        for e in _orbit(1 << u | 1 << v, gens, _subset_image):
+            for x in bits(e):
+                done[x] |= e ^ 1 << x
+
+
+def _orbit_minors(rows: Rows) -> Iterator[Rows]:
+    """Labeled single-operation minors in ``_labeled_minors``' order:
+    one vertex deletion per twin class (``rows_twin_firsts``), and one
+    edge deletion and one contraction per edge orbit
+    (``_edge_orbit_reps``)."""
+    for v, u in enumerate(rows_twin_firsts(rows)):
         if u == v:
             yield rows_delete_vertex(rows, v)
-    pairs = set()
-    for u, v in edges_from_rows(rows):
-        pair = (rep[u], rep[v]) if rep[u] < rep[v] else (rep[v], rep[u])
-        if pair not in pairs:
-            pairs.add(pair)
-            yield rows_delete_edge(rows, u, v)
-            yield rows_contract_edge(rows, u, v)
+    for u, v in _edge_orbit_reps(rows, [0] * len(rows)):
+        yield rows_delete_edge(rows, u, v)
+        yield rows_contract_edge(rows, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +248,7 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
     if not check(g, prop):
         return False
     seen = set()  # repeats skipped; minors built only up to the first hit
-    for m in _twin_minors(g.rows()):
+    for m in _orbit_minors(g.rows()):
         if m not in seen:
             seen.add(m)
             if check(Graph.from_rows(m), prop):
@@ -213,15 +261,16 @@ def _pivot_walk(rows: Rows, step, scan, label: str) -> bool:
     ``step(cur, u, v)`` is nonplanar with no planarizing edge under the
     scan's operation (the member is NE or NC).
 
-    One chain per root edge, each pivoting on the scan's hit and stopping
-    where the hit is the image of an earlier root edge; the module
-    docstring proves that no other member needs a visit.  ``cleared``
-    holds those images as rows: the earlier root edges, carried through
-    the chain by the same steps as ``cur``.
+    One chain per orbit of root edges, each pivoting on the scan's hit
+    and stopping where the hit is the image of a done root edge; the
+    module docstring proves that no other member needs a visit.
+    ``done`` holds the orbits of the root edges whose chains found no
+    hit, and ``cleared`` their images as rows, carried through the chain
+    by the same steps as ``cur``.
     """
-    done = (0,) * len(rows)  # the root edges whose chains found no hit
+    done = [0] * len(rows)
     members = 1  # the root
-    for u, v in edges_from_rows(rows):
+    for u, v in _edge_orbit_reps(rows, done):
         cur, cleared = step(rows, u, v), step(done, u, v)
         while not is_planar_rows(cur):
             members += 1
@@ -236,7 +285,6 @@ def _pivot_walk(rows: Rows, step, scan, label: str) -> bool:
             if cleared[x] >> y & 1:
                 break
             cur, cleared = step(cur, x, y), step(cleared, x, y)
-        done = rows_add_edge(done, u, v)
     return False
 
 
@@ -329,7 +377,7 @@ def is_minor_minimal_exhaustive(g: Graph, prop: Property) -> bool:
     minor of.  Edge counts never grow along a minor walk, so every
     member with eight or more edges is still reached through members
     with eight or more.  Each labeled minor is keyed once, after the
-    size test; the walk shares no code with ``_twin_minors``, whose
+    size test; the walk shares no code with ``_orbit_minors``, whose
     decider it checks.  Its order and member caps are
     ``EXHAUSTIVE_ORDER_CAP`` and ``SIEVE_MEMBER_CAP``.
     """

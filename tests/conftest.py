@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from minorsieve import EnumFilter, Graph, generate, generate_graphs
+from minorsieve.canon import relabel_rows
 from minorsieve.graphs import Edge, Rows
 
 
@@ -42,6 +43,17 @@ def random_graph(rng: random.Random, order: int,
     edges = [(u, v) for u in range(order) for v in range(u + 1, order)
              if rng.random() < p]
     return Graph(order, edges)
+
+
+#: seeds of the relabelings that the symmetry tests apply to catalog graphs
+RELABEL_SEEDS = (1, 2, 3)
+
+
+def relabeled(g: Graph, seed: int) -> Graph:
+    """g with its vertices permuted by a seeded random permutation."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_rows(relabel_rows(g.rows(), tuple(perm)))
 
 
 @pytest.fixture(scope="session")

@@ -21,10 +21,9 @@ import random
 
 import pytest
 
-from minorsieve.canon import canonical_data, canonical_key_rows, \
-    relabel_rows
-from minorsieve.generate import EnumFilter, _expand_parent, _subset_image, \
-    universe_level
+from minorsieve.canon import _subset_image, canonical_data, \
+    canonical_key_rows, relabel_rows
+from minorsieve.generate import EnumFilter, _expand_parent, universe_level
 from minorsieve.graphs import Rows, rows_component_masks, \
     rows_delete_vertex, rows_size
 from minorsieve.planarity import is_planar_rows

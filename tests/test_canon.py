@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from minorsieve import EnumFilter, Graph, canonical_graph, canonical_key, \
     generate_graphs, is_isomorphic
-from minorsieve.canon import _orbit, _vertex_image, canonical_perm, \
-    root_cells
-from minorsieve.generate import _subset_image
+from minorsieve.canon import _orbit, _subset_image, _vertex_image, \
+    canonical_perm, root_cells
 
 from conftest import random_graph
 

@@ -11,6 +11,7 @@ from minorsieve import EnumFilter, Graph, Property, build_named, \
     count_graphs, enumerate_graphs, enumerate_partition, generate_graphs, \
     search_minor_minimal
 from minorsieve import generate
+from minorsieve.canon import _subset_image, _twin_swaps
 from minorsieve.cli import main
 from minorsieve.planarity import is_planar_rows
 
@@ -356,7 +357,7 @@ def test_min_degree_past_the_order_builds_nothing(order, min_degree, prop,
 # ---------------------------------------------------------------------------
 
 def _is_automorphism(rows, perm) -> bool:
-    return all(generate._subset_image(rows[v], perm) == rows[perm[v]]
+    return all(_subset_image(rows[v], perm) == rows[perm[v]]
                for v in range(len(rows)))
 
 
@@ -372,7 +373,7 @@ def test_twin_swaps_are_automorphisms():
                 for _ in range(2000)]
     swapped = 0
     for rows in sources:
-        for perm in generate._twin_swaps(rows):
+        for perm in _twin_swaps(rows):
             assert sorted(perm) == list(range(len(rows)))
             assert sum(perm[v] != v for v in range(len(rows))) == 2
             assert _is_automorphism(rows, perm), (rows, perm)
@@ -389,7 +390,7 @@ def test_twin_swaps_are_automorphisms():
 ])
 def test_twin_swaps_orbits_are_twin_classes(order, edges):
     rows = rows_from_edges(order, edges)
-    swaps = generate._twin_swaps(rows)
+    swaps = _twin_swaps(rows)
     for v in range(order):
         orbit = {v}
         stack = [v]

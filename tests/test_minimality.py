@@ -11,10 +11,11 @@ from minorsieve import Graph, Property, ResourceLimitError, UPWARD_CLOSED, \
     all_entries, build_named, check, disjoint_union, is_minor_minimal, \
     is_minor_minimal_exhaustive, is_minor_minimal_upclosed, is_mmnc, \
     is_mmne, is_planar, one_step_minors
-from minorsieve.canon import canonical_key, canonical_key_rows
+from minorsieve.canon import _subset_image, canonical_key, \
+    canonical_key_rows
 from minorsieve.minimality import one_step_minor_rows
 
-from conftest import random_graph
+from conftest import RELABEL_SEEDS, random_graph, relabeled
 
 K5 = Graph.complete(5)
 K33 = Graph.complete_bipartite(3, 3)
@@ -41,24 +42,24 @@ def test_upclosed_requires_upward_closed_property():
 
 
 def test_upclosed_stops_at_the_first_minor_with_the_property(monkeypatch):
-    """K7 - v = K6 is NA, and vertex deletion is the first twin minor, so
-    the decider builds no later minor."""
-    twin_minors = minimality._twin_minors
+    """K7 - v = K6 is NA, and vertex deletion is the first orbit minor,
+    so the decider builds no later minor."""
+    orbit_minors = minimality._orbit_minors
     built = []
 
     def counting(rows):
-        for m in twin_minors(rows):
+        for m in orbit_minors(rows):
             built.append(m)
             yield m
 
-    monkeypatch.setattr(minimality, "_twin_minors", counting)
+    monkeypatch.setattr(minimality, "_orbit_minors", counting)
     k7 = Graph.complete(7)
     assert not is_minor_minimal_upclosed(k7, Property.NA)
-    assert len(built) == 1 < len(list(twin_minors(k7.rows())))
+    assert len(built) == 1 < len(list(orbit_minors(k7.rows())))
     k6 = Graph.complete(6)
     built.clear()
     assert is_minor_minimal_upclosed(k6, Property.NA)  # every minor built
-    assert len(built) == len(list(twin_minors(k6.rows())))
+    assert len(built) == len(list(orbit_minors(k6.rows())))
 
 
 def reference_upclosed(g: Graph, prop: Property, minors: list[Graph]) -> bool:
@@ -83,6 +84,40 @@ def test_upclosed_matches_canonical_reference(reps_by_order, reps7):
                 (prop, g.sorted_edges())
             hits[prop] += got
     assert min(hits.values()) > 0
+
+
+def test_upclosed_matches_canonical_reference_on_relabeled_catalog():
+    """The verdicts are isomorphism invariants; the edge orbits the
+    decider finds depend on the labels."""
+    hits = dict.fromkeys(UPWARD_CLOSED, 0)
+    for entry in all_entries():
+        g = entry.graph
+        minors = one_step_minors(g) if not is_planar(g) else []
+        for prop in UPWARD_CLOSED:
+            want = reference_upclosed(g, prop, minors)
+            for seed in RELABEL_SEEDS:
+                assert is_minor_minimal_upclosed(relabeled(g, seed), prop) \
+                    == want, (entry.id, prop, seed)
+            hits[prop] += want
+    assert min(hits.values()) > 0
+
+
+def test_decider_group_is_automorphisms(reps_by_order, reps7):
+    """Every generator of ``_automorphisms`` maps the graph onto itself,
+    on every class through order 7 and on relabeled catalog graphs; some
+    come from the canonical search, not only the twin swaps."""
+    graphs = [g for reps in reps_by_order.values() for g in reps] + reps7
+    graphs += [relabeled(e.graph, seed) for e in all_entries()
+               for seed in RELABEL_SEEDS]
+    searched = 0
+    for g in graphs:
+        rows = g.rows()
+        for perm in minimality._automorphisms(rows):
+            assert sorted(perm) == list(range(g.order)), (rows, perm)
+            assert all(_subset_image(rows[v], perm) == rows[perm[v]]
+                       for v in range(g.order)), (rows, perm)
+            searched += sum(perm[v] != v for v in range(g.order)) > 2
+    assert searched > 0
 
 
 def test_kuratowski_graphs_minimal_for_nonplanarity_proxies():
