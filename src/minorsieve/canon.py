@@ -9,8 +9,8 @@ graphs this package cares about (complete graphs, complete bipartite
 graphs, disjoint unions of those, strongly regular examples):
 
 * incremental code comparison against the best leaf found so far,
-* interchangeable cells (identical neighborhoods outside the cell, and
-  complete or empty inside) are fixed in one arbitrary order without
+* a cell of twins (all its members in one class of
+  ``rows_twin_firsts``) is fixed in one arbitrary order without
   branching, which collapses the factorial blowup of K_n in one step,
 * automorphisms discovered at equal leaves merge branch orbits, so at a
   branch point only one representative per known orbit is explored.
@@ -18,10 +18,16 @@ graphs, disjoint unions of those, strongly regular examples):
 Partition cells are vertex bitmasks.  Every cell's member list is
 ascending at every step: the first partition is range(n), a split keeps
 the members' relative order, individualizing v gives [v] and the rest in
-order, and fixing an interchangeable cell keeps the order.  So reading a
+order, and fixing a cell of twins keeps the order.  So reading a
 mask's bits from low to high gives the list a list-of-lists partition
 would hold, and the ordered partition, every branch, every leaf and the
 discovered generators are those of the list form.
+
+A cell of twins is one whose every transposition is an automorphism:
+its members have equal neighborhoods outside it, and it is empty or
+complete inside.  Empty inside, that means equal open neighborhoods;
+complete inside, equal closed ones.  Conversely open twins are
+nonadjacent and closed twins adjacent, so one class is such a cell.
 
 Everything here is label-level: functions take (order, rows) with rows
 the adjacency bitmasks, and the Graph-facing wrappers live at the bottom.
@@ -103,37 +109,13 @@ def _refine(rows: Rows, cells: list[int], uniform: set[int]) -> list[int]:
     return cells
 
 
-def _interchangeable(rows: Rows, cell: int) -> bool:
-    """True if every transposition inside the cell is a graph automorphism.
-
-    Holds when all cell vertices have the same neighbors outside the cell
-    and the induced subgraph on the cell is complete or empty.
-    """
-    members = list(bits(cell))
-    first = members[0]
-    outside = rows[first] & ~cell
-    inside = rows[first] & cell
-    full = (inside == cell & ~(1 << first))
-    empty = (inside == 0)
-    if not (full or empty):
-        return False
-    for v in members[1:]:
-        if rows[v] & ~cell != outside:
-            return False
-        ins = rows[v] & cell
-        if full and ins != cell & ~(1 << v):
-            return False
-        if empty and ins != 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # backtracking search
 # ---------------------------------------------------------------------------
 
 class _Search:
-    __slots__ = ("rows", "n", "best_codes", "best_perm", "gens", "leaves")
+    __slots__ = ("rows", "n", "best_codes", "best_perm", "gens", "leaves",
+                 "twins")
 
     def __init__(self, rows: Rows):
         self.rows = rows
@@ -142,6 +124,7 @@ class _Search:
         self.best_perm: list[int] | None = None
         self.gens: list[tuple[int, ...]] = []
         self.leaves = 0
+        self.twins: list[int] | None = None  # rows_twin_firsts, when needed
 
     def run(self, cells: list[int]) -> None:
         self._node(cells, [], [], True)
@@ -173,7 +156,11 @@ class _Search:
             self._leaf(perm, codes, tied)
             return
         target = cells[lead]
-        if _interchangeable(rows, target):
+        twins = self.twins
+        if twins is None:
+            twins = self.twins = rows_twin_firsts(rows)
+        first = twins[(target & -target).bit_length() - 1]
+        if all(twins[v] == first for v in bits(target)):
             # any internal order completes to the same canonical code, and
             # fixing one cannot split the other cells either
             fixed = cells[:lead] + [1 << v for v in bits(target)] \
@@ -181,8 +168,8 @@ class _Search:
             self._node(fixed, perm, codes, tied)
             return
         # branch: individualize one representative per known orbit.  The
-        # partition here is equitable (refined, or refined and then an
-        # interchangeable cell fixed), so every child starts out uniform
+        # partition here is equitable (refined, or refined and then a
+        # cell of twins fixed), so every child starts out uniform
         # against each of its cells
         seen_orbits = set()
         for v in bits(target):
@@ -237,8 +224,8 @@ def _subset_image(s: int, gen: tuple[int, ...]) -> int:
 def _twin_swaps(rows: Rows) -> list[tuple[int, ...]]:
     """Each vertex swapped with the first of its twin class
     (``rows_twin_firsts``); each transposition is an automorphism.  The
-    search never branches on an interchangeable cell, so it never
-    reports these itself."""
+    search never branches on a cell of twins, so it never reports these
+    itself."""
     n = len(rows)
     swaps: list[tuple[int, ...]] = []
     for v, u in enumerate(rows_twin_firsts(rows)):
@@ -370,11 +357,3 @@ def canonical_graph(g: Graph) -> Graph:
     """The graph relabeled into its canonical order."""
     rows = g.rows()
     return Graph.from_rows(relabel_rows(rows, canonical_perm(rows)))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.order != h.order or g.size != h.size:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    return canonical_key(g) == canonical_key(h)

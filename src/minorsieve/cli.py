@@ -166,6 +166,10 @@ def _cmd_pool(args) -> tuple[str, dict, list[str], int]:
     if args.count_only and args.out:
         raise ValueError("--out needs the pool's graphs, and --count-only "
                          "keeps none")
+    if not args.count_only and args.order[-1] >= MAX_ENUM_ORDER:
+        raise ResourceLimitError(
+            f"a listed order-{MAX_ENUM_ORDER} pool is held in memory whole; "
+            f"use --count-only or --property")
     filters = [EnumFilter(order=order, min_degree=args.min_degree,
                           connected=args.connected, planarity=args.planarity)
                for order in args.order]

@@ -20,9 +20,9 @@ the orbit of the new one in ``_accept``, close the point with
 ``canon._orbit``, the closure the canonical search uses for its own
 branch orbits.  They use the generators the canonical search discovered
 plus the twin transpositions of ``canon._twin_swaps``.  The search never
-branches on an interchangeable cell, so it never reports twin swaps
-itself.  Swapping two vertices with equal open neighborhoods, or with
-equal closed neighborhoods, is an automorphism, and both tests are sound
+branches on a cell of twins (one twin class), so it never reports twin
+swaps itself.  Swapping two vertices with equal open neighborhoods, or
+with equal closed neighborhoods, is an automorphism, and both tests are sound
 positive tests: a skipped subset gives a child isomorphic to one already
 tried, which acceptance and key deduplication would have dropped; an
 accepted child is one whose last vertex deletes to the parent, which the
@@ -35,11 +35,12 @@ Levels below the target order must hold every parent that a member of
 the final level can have (an augmenting chain may pass through graphs
 violating the final filter), so filters prune subsets only at the last
 level, where their effect on the child is exact: attaching the new
-vertex to S adds |S| edges, raises exactly the degrees in S by one, and
-connects precisely the components S touches.  Planarity is not subset-expressible, but every child contains
-its parent as a subgraph, so a child of a nonplanar parent is nonplanar.
-The parent is tested once, at its first accepted child, and only the
-children of a planar parent are tested themselves.
+vertex to S raises exactly the degrees in S by one and connects
+precisely the components S touches.  Planarity is not
+subset-expressible, but every child contains its parent as a subgraph,
+so a child of a nonplanar parent is nonplanar.  The parent is tested
+once, at its first accepted child, and only the children of a planar
+parent are tested themselves.
 
 Minimum degree is the one filter that also restricts the levels below.
 The canonically last vertex y of a child G lies in the last root cell,
@@ -87,13 +88,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .canon import _orbit, _subset_image, _twin_swaps, _vertex_image, \
     canonical_data, canonical_key_rows, relabel_rows, root_cells
 from .errors import ResourceLimitError
-from .graphs import Graph, Rows, rows_component_masks, rows_delete_vertex, \
-    rows_size
+from .graphs import Graph, Rows, rows_component_masks, rows_delete_vertex
 from .minimality import is_minor_minimal
 from .parallel import parallel_map, worker_count
 from .planarity import is_planar_rows
@@ -111,8 +111,6 @@ class EnumFilter:
     """Target shape for one enumeration level."""
 
     order: int
-    min_size: int | None = None
-    max_size: int | None = None
     min_degree: int = 0
     connected: bool = False
     planarity: str = "all"
@@ -123,11 +121,6 @@ class EnumFilter:
         if self.order > MAX_ENUM_ORDER:
             raise ResourceLimitError(f"enumeration capped at order "
                                      f"{MAX_ENUM_ORDER}; asked for {self.order}")
-        cap = self.order * (self.order - 1) // 2
-        for name in ("min_size", "max_size"):
-            val = getattr(self, name)
-            if val is not None and not 0 <= val <= cap:
-                raise ValueError(f"{name}={val} outside 0..{cap}")
         if self.min_degree < 0:
             raise ValueError("min_degree must be nonnegative")
         if self.planarity not in _PLANARITY_MODES:
@@ -136,11 +129,6 @@ class EnumFilter:
     def admits(self, rows: Rows) -> bool:
         """Direct predicate; the enumerator's pruning must agree with it."""
         if len(rows) != self.order:
-            return False
-        size = rows_size(rows)
-        if self.min_size is not None and size < self.min_size:
-            return False
-        if self.max_size is not None and size > self.max_size:
             return False
         if self.min_degree and any(r.bit_count() < self.min_degree for r in rows):
             return False
@@ -164,7 +152,7 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None,
     rows as built.
 
     With a filter, subsets are restricted to those whose child meets
-    the degree, connectivity and size constraints exactly; planarity is
+    the degree and connectivity constraints exactly; planarity is
     decided on the accepted child, by the parent's answer when the parent
     is nonplanar.
 
@@ -206,11 +194,6 @@ def _expand_parent(parent: Rows, filt: EnumFilter | None,
         if filt.connected:
             comp_masks = rows_component_masks(parent)
             lo_bits = max(lo_bits, 1)
-        msize = rows_size(parent)
-        if filt.min_size is not None:
-            lo_bits = max(lo_bits, filt.min_size - msize)
-        if filt.max_size is not None:
-            hi_bits = min(hi_bits, filt.max_size - msize)
     if lo_bits > hi_bits:
         return []
     parent_key, _, gens = canonical_data(parent)
@@ -453,14 +436,9 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1, shard: int = 0,
 # public enumeration surface
 # ---------------------------------------------------------------------------
 
-def enumerate_graphs(filt: EnumFilter, jobs: int = 1) -> Iterator[Graph]:
-    """One canonical representative per isomorphism class, key order."""
-    for rows in _final_pairs(filt, jobs)[1]:
-        yield Graph.from_rows(rows)
-
-
 def generate_graphs(filt: EnumFilter, jobs: int = 1) -> list[Graph]:
-    return list(enumerate_graphs(filt, jobs))
+    """One canonical representative per isomorphism class, key order."""
+    return [Graph.from_rows(rows) for rows in _final_pairs(filt, jobs)[1]]
 
 
 def count_graphs(filt: EnumFilter, jobs: int = 1) -> int:

@@ -235,15 +235,8 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees(), default=0)
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
     def sorted_edges(self) -> list[Edge]:
         return edges_from_rows(self._rows)
-
-    def non_edges(self) -> list[Edge]:
-        """Nonadjacent unordered pairs, lexicographically sorted."""
-        return rows_non_edges(self.rows())
 
     def is_complete(self) -> bool:
         return self.size == self.order * (self.order - 1) // 2
@@ -300,11 +293,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(rows_component_masks(self.rows())) <= 1
-
-    def components(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(bits(mask)) for mask in rows_component_masks(self.rows())
-        )
 
     def vertex_connectivity(self) -> int:
         """Largest k such that order > k and no cutset smaller than k exists.

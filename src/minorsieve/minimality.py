@@ -191,10 +191,6 @@ def one_step_minor_rows(rows: Rows) -> list[Rows]:
     return [out[k] for k in sorted(out)]
 
 
-def one_step_minors(g: Graph) -> list[Graph]:
-    return [Graph.from_rows(r) for r in one_step_minor_rows(g.rows())]
-
-
 def _automorphisms(rows: Rows) -> list[tuple[int, ...]]:
     """Generators of a group of automorphisms of ``rows``: those the
     canonical search discovers, plus the twin swaps.  None when the root

@@ -11,11 +11,6 @@ Graphs stay simple throughout, so star_to_triangle merges any edge it
 would duplicate and is only a true inverse when no neighbor pair was
 already adjacent; round-trip identities hold in the clean direction.
 
-For an NE host graph there is a shortcut for re-checking NE after the
-forward move: the transformed graph is NE exactly when each of the
-three new edges is planarizing-proof, i.e. deleting it leaves a
-nonplanar graph.  ``ne_preserved_after_ty`` applies that criterion.
-
 ``explore_family`` closes a seed list under both moves to a given depth
 and runs the full minimality sieve on every distinct graph seen, since
 the moves preserve the property but not minimality.
@@ -33,8 +28,7 @@ from .generate import SearchReport
 from .graphs import Graph, rows_delete_vertex
 from .minimality import SIEVE_MEMBER_CAP, is_minor_minimal
 from .parallel import parallel_map
-from .planarity import is_planar
-from .properties import Property, check
+from .properties import Property
 
 Triangle = tuple[int, int, int]
 
@@ -87,21 +81,6 @@ def star_to_triangle(g: Graph, v: int) -> Graph:
     rows = [r | (star & ~(1 << x)) if (star >> x) & 1 else r
             for x, r in enumerate(g.rows())]
     return Graph.from_rows(rows_delete_vertex(tuple(rows), v))
-
-
-def ne_preserved_after_ty(g: Graph, t: Triangle) -> bool:
-    """Whether the triangle-to-star transform of an NE graph is still NE.
-
-    Criterion: the transform is NE exactly when deleting any one of the
-    three new edges leaves a nonplanar graph, so only three planarity
-    calls are needed instead of a full property check.
-    """
-    if not check(g, Property.NE):
-        raise ValueError("host graph is not NE")
-    a, b, c = _require_triangle(g, t)
-    h = triangle_to_star(g, t)
-    v = h.order - 1
-    return all(not is_planar(h.delete_edge(x, v)) for x in (a, b, c))
 
 
 def _expansions(g: Graph, moves: tuple[str, ...]) -> list[Graph]:

@@ -178,16 +178,6 @@ def find_apex_vertex(g: Graph) -> int | None:
     return first_planar_vertex_deletion(g.rows())
 
 
-def find_apex_edge(g: Graph) -> Edge | None:
-    """Least edge whose deletion planarizes g, or None."""
-    return first_planar_edge_deletion(g.rows())
-
-
-def find_contraction_apex(g: Graph) -> Edge | None:
-    """Least edge whose contraction planarizes g, or None."""
-    return first_planar_contraction(g.rows())
-
-
 # ---------------------------------------------------------------------------
 # property checks
 # ---------------------------------------------------------------------------

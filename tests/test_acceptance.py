@@ -15,7 +15,7 @@ import time
 import pytest
 
 from minorsieve import EnumFilter, Graph, Property, build_named, \
-    canonical_key, count_graphs, enumerate_graphs, find_apex_vertex, \
+    canonical_key, count_graphs, find_apex_vertex, generate_graphs, \
     is_minor_minimal_exhaustive, is_mmnc, is_mmne, is_planar, \
     mm_catalog, mmne_structure_violations, search_minor_minimal
 from minorsieve.cli import main
@@ -132,7 +132,7 @@ def test_criterion_5_oracle_equivalences():
     t0 = time.monotonic()
     small = 0
     for order in range(1, 7):
-        for g in enumerate_graphs(EnumFilter(order=order)):
+        for g in generate_graphs(EnumFilter(order=order)):
             assert is_mmne(g) == is_minor_minimal_exhaustive(g, Property.NE)
             assert is_mmnc(g) == is_minor_minimal_exhaustive(g, Property.NC)
             small += 1
@@ -145,7 +145,7 @@ def test_criterion_5_oracle_equivalences():
     k5, k33 = Graph.complete(5), Graph.complete_bipartite(3, 3)
     checked = 0
     for order in range(1, 8):
-        for g in enumerate_graphs(EnumFilter(order=order)):
+        for g in generate_graphs(EnumFilter(order=order)):
             kuratowski = has_minor(g, k5) or has_minor(g, k33)
             assert is_planar(g) == (not kuratowski)
             checked += 1

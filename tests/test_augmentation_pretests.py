@@ -25,7 +25,7 @@ from minorsieve.canon import _subset_image, canonical_data, \
     canonical_key_rows, relabel_rows
 from minorsieve.generate import EnumFilter, _expand_parent, universe_level
 from minorsieve.graphs import Rows, rows_component_masks, \
-    rows_delete_vertex, rows_size
+    rows_delete_vertex
 from minorsieve.planarity import is_planar_rows
 
 from conftest import random_graph
@@ -44,7 +44,7 @@ def reference_expand(parent: Rows, filt: EnumFilter | None,
     accept = reference_accept if use_generators else unpruned_accept
 
     required = 0
-    lo_bits, hi_bits = 0, n
+    lo_bits = 0
     comp_masks: tuple[int, ...] = ()
     if filt is not None:
         d = filt.min_degree
@@ -59,13 +59,6 @@ def reference_expand(parent: Rows, filt: EnumFilter | None,
         if filt.connected:
             comp_masks = rows_component_masks(parent)
             lo_bits = max(lo_bits, 1)
-        msize = rows_size(parent)
-        if filt.min_size is not None:
-            lo_bits = max(lo_bits, filt.min_size - msize)
-        if filt.max_size is not None:
-            hi_bits = min(hi_bits, filt.max_size - msize)
-            if hi_bits < 0:
-                return []
 
     out: list[tuple[bytes, Rows]] = []
     seen_children: set[bytes] = set()
@@ -73,8 +66,7 @@ def reference_expand(parent: Rows, filt: EnumFilter | None,
     for s in range(1 << n):
         if s & required != required:
             continue
-        bc = s.bit_count()
-        if not lo_bits <= bc <= hi_bits:
+        if s.bit_count() < lo_bits:
             continue
         if comp_masks and any(not s & cm for cm in comp_masks):
             continue

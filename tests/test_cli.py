@@ -161,6 +161,21 @@ def test_order_past_cap_is_usage_error(argv, built_levels, capsys):
     assert built_levels == []
 
 
+@pytest.mark.parametrize("orders,out", [("10", False), ("9-10", True)])
+def test_listing_a_pool_at_the_cap_is_usage_error(orders, out, built_levels,
+                                                  tmp_path, capsys):
+    """A listed pool is held whole, and an order-10 one does not fit in
+    memory; a count or a property search at order 10 streams instead."""
+    path = tmp_path / "pool.g6"
+    argv = ["search", "--order", orders] + (["--out", str(path)] if out
+                                            else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--count-only" in err and "--property" in err
+    assert built_levels == []
+    assert not path.exists()
+
+
 def test_huge_declared_order_is_usage_error(tmp_path, capsys):
     # rejected before any row is allocated
     f = tmp_path / "huge.txt"

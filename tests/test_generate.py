@@ -8,8 +8,7 @@ import pytest
 
 from minorsieve import EnumFilter, Graph, Property, build_named, \
     canonical_key, is_minor_minimal, \
-    count_graphs, enumerate_graphs, enumerate_partition, generate_graphs, \
-    search_minor_minimal
+    count_graphs, enumerate_partition, generate_graphs, search_minor_minimal
 from minorsieve import generate
 from minorsieve.canon import _subset_image, _twin_swaps
 from minorsieve.cli import main
@@ -57,7 +56,7 @@ def test_enumeration_is_isomorphism_free(reps_by_order):
 def test_filters_compose():
     filt = EnumFilter(order=6, min_degree=2, connected=True,
                       planarity="nonplanar")
-    found = list(enumerate_graphs(filt))
+    found = generate_graphs(filt)
     assert count_graphs(filt) == len(found)
     assert all(min(len(g.neighbors(v)) for v in range(6)) >= 2
                for g in found)
@@ -73,19 +72,11 @@ def test_filter_validation():
         EnumFilter(order=5, min_degree=-1)
     with pytest.raises(ValueError):
         EnumFilter(order=5, planarity="almost")
-    with pytest.raises(ValueError):
-        EnumFilter(order=5, max_size=11)
-
-
-def test_size_window():
-    filt = EnumFilter(order=5, min_size=9, max_size=10)
-    got = {(g.order, g.size) for g in enumerate_graphs(filt)}
-    assert got == {(5, 9), (5, 10)}  # K5-e and K5
 
 
 def test_partition_shards_tile_the_universe():
     filt = EnumFilter(order=7, planarity="nonplanar")
-    whole = {canonical_key(g) for g in enumerate_graphs(filt)}
+    whole = {canonical_key(g) for g in generate_graphs(filt)}
     shards = [
         {canonical_key(g) for g in enumerate_partition(filt, s, 4)}
         for s in range(4)
@@ -97,7 +88,7 @@ def test_partition_shards_tile_the_universe():
 def test_partition_shards_tile_a_min_degree_pool():
     """A minimum-degree pool deals out its restricted parent level."""
     filt = EnumFilter(order=8, min_degree=3)
-    whole = [g.rows() for g in enumerate_graphs(filt)]
+    whole = [g.rows() for g in generate_graphs(filt)]
     shards = [[g.rows() for g in enumerate_partition(filt, s, 4)]
               for s in range(4)]
     assert all(shards)
@@ -111,13 +102,6 @@ def test_partition_argument_validation():
         list(enumerate_partition(filt, 4, 4))
     with pytest.raises(ValueError):
         list(enumerate_partition(filt, 0, 0))
-
-
-def test_generate_graphs_matches_enumerate():
-    filt = EnumFilter(order=5, connected=True)
-    a = [g.edges for g in generate_graphs(filt)]
-    b = [g.edges for g in enumerate_graphs(filt)]
-    assert a == b
 
 
 def test_worker_pool_is_deterministic():

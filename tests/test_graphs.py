@@ -8,7 +8,8 @@ import pytest
 
 from minorsieve import Graph, disjoint_union, one_vertex_union, \
     two_vertex_union
-from minorsieve.graphs import edges_from_rows
+from minorsieve.graphs import bits, edges_from_rows, rows_component_masks, \
+    rows_non_edges, rows_twin_firsts
 
 from conftest import random_graph, rows_from_edges
 
@@ -100,19 +101,19 @@ def test_neighbors_and_degrees():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert set(g.neighbors(0)) == {1, 2, 3}
     assert g.degree(0) == 3 and g.degree(1) == 1
-    assert g.min_degree() == 1 and g.max_degree() == 3
+    assert g.min_degree() == 1 and max(g.degrees()) == 3
 
 
 def test_non_edges_complement():
     g = Graph(4, [(0, 1)])
-    assert len(list(g.non_edges())) == 5
-    assert list(Graph.complete(4).non_edges()) == []
+    assert len(rows_non_edges(g.rows())) == 5
+    assert rows_non_edges(Graph.complete(4).rows()) == []
 
 
 def test_components_and_connectivity():
     g = disjoint_union(Graph.complete(3), Graph.complete(2))
     assert not g.is_connected()
-    assert sorted(len(c) for c in g.components()) == [2, 3]
+    assert [c.bit_count() for c in rows_component_masks(g.rows())] == [3, 2]
     assert g.vertex_connectivity() == 0
     assert Graph.complete(5).vertex_connectivity() == 4
     assert Graph.complete(1).vertex_connectivity() == 0
@@ -201,3 +202,21 @@ def test_edge_and_row_constructions_agree():
 def test_equality_sees_isolated_vertices():
     assert Graph(3, [(0, 1)]) != Graph(2, [(0, 1)])
     assert Graph(3) != Graph(2)
+
+
+def test_twin_firsts_are_the_transposition_classes():
+    """u and v share a first exactly when swapping them fixes the rows,
+    and each class's first is its least member."""
+    rng = random.Random(20261021)
+    for _ in range(300):
+        rows = random_graph(rng, rng.randint(1, 9)).rows()
+        first = rows_twin_firsts(rows)
+        for v, f in enumerate(first):
+            assert f <= v and first[f] == f
+        for u in range(len(rows)):
+            for v in range(u + 1, len(rows)):
+                swap = {u: v, v: u}
+                fixed = all(
+                    sum(1 << swap.get(x, x) for x in bits(rows[w]))
+                    == rows[swap.get(w, w)] for w in range(len(rows)))
+                assert (first[u] == first[v]) == fixed, (rows, u, v)

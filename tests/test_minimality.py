@@ -10,9 +10,10 @@ from minorsieve import minimality
 from minorsieve import Graph, Property, ResourceLimitError, UPWARD_CLOSED, \
     all_entries, build_named, check, disjoint_union, is_minor_minimal, \
     is_minor_minimal_exhaustive, is_minor_minimal_upclosed, is_mmnc, \
-    is_mmne, is_planar, one_step_minors
+    is_mmne, is_planar
 from minorsieve.canon import _subset_image, canonical_key, \
     canonical_key_rows
+from minorsieve.graphs import Rows, rows_size
 from minorsieve.minimality import one_step_minor_rows
 
 from conftest import RELABEL_SEEDS, random_graph, relabeled
@@ -22,15 +23,16 @@ K33 = Graph.complete_bipartite(3, 3)
 
 
 def test_one_step_minors_of_k5():
-    got = {(g.order, g.size) for g in one_step_minors(K5)}
+    minors = one_step_minor_rows(K5.rows())
+    got = {(len(r), rows_size(r)) for r in minors}
     # deletions and the contraction collapse to two classes: K4 and K5-e
     assert got == {(4, 6), (5, 9)}
-    assert len(one_step_minors(K5)) == 2
+    assert len(minors) == 2
 
 
 def test_one_step_minors_contains_all_three_operations():
     g = Graph.path(4)
-    kinds = {(h.order, h.size) for h in one_step_minors(g)}
+    kinds = {(len(r), rows_size(r)) for r in one_step_minor_rows(g.rows())}
     # vertex deletion of an end (3,2), of a middle (3,1),
     # edge deletion (4,2), contraction (3,2)
     assert (3, 2) in kinds and (3, 1) in kinds and (4, 2) in kinds
@@ -62,12 +64,13 @@ def test_upclosed_stops_at_the_first_minor_with_the_property(monkeypatch):
     assert len(built) == len(list(orbit_minors(k6.rows())))
 
 
-def reference_upclosed(g: Graph, prop: Property, minors: list[Graph]) -> bool:
+def reference_upclosed(g: Graph, prop: Property, minors: list[Rows]) -> bool:
     """The one-step decider over canonical representatives, as it stood
-    before it checked labeled minors; ``minors`` is one_step_minors(g)."""
+    before it checked labeled minors; ``minors`` is
+    one_step_minor_rows(g.rows())."""
     if not check(g, prop):
         return False
-    return not any(check(m, prop) for m in minors)
+    return not any(check(Graph.from_rows(m), prop) for m in minors)
 
 
 def test_upclosed_matches_canonical_reference(reps_by_order, reps7):
@@ -77,7 +80,7 @@ def test_upclosed_matches_canonical_reference(reps_by_order, reps7):
     for g in graphs:
         # all four properties imply nonplanarity, so a planar g needs
         # no minors: the reference rejects it by its own check
-        minors = one_step_minors(g) if not is_planar(g) else []
+        minors = one_step_minor_rows(g.rows()) if not is_planar(g) else []
         for prop in UPWARD_CLOSED:
             got = is_minor_minimal_upclosed(g, prop)
             assert got == reference_upclosed(g, prop, minors), \
@@ -92,7 +95,7 @@ def test_upclosed_matches_canonical_reference_on_relabeled_catalog():
     hits = dict.fromkeys(UPWARD_CLOSED, 0)
     for entry in all_entries():
         g = entry.graph
-        minors = one_step_minors(g) if not is_planar(g) else []
+        minors = one_step_minor_rows(g.rows()) if not is_planar(g) else []
         for prop in UPWARD_CLOSED:
             want = reference_upclosed(g, prop, minors)
             for seed in RELABEL_SEEDS:

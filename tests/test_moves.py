@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minorsieve import Graph, Property, build_named, canonical_key, check, \
-    explore_family, is_mmne, mm_catalog, ne_preserved_after_ty, \
-    star_to_triangle, triangle_to_star, triangles
+    explore_family, is_mmne, mm_catalog, star_to_triangle, \
+    triangle_to_star, triangles
 from minorsieve.catalog import entry
 from minorsieve.errors import ResourceLimitError
 
@@ -82,24 +82,6 @@ def test_round_trip_on_k33_free_hosts(seed):
     assert (h.order, h.size) == (g.order + 1, g.size)
     back = star_to_triangle(h, h.order - 1)
     assert canonical_key(back) == canonical_key(g)
-
-
-def test_ne_shortcut_requires_ne_host():
-    with pytest.raises(ValueError):
-        ne_preserved_after_ty(Graph.complete(5), (0, 1, 2))
-
-
-def test_ne_shortcut_matches_direct_check():
-    checked = 0
-    for e in mm_catalog(Property.NE):
-        g = e.graph
-        if g.order > 8:
-            continue
-        for t in triangles(g):
-            direct = check(triangle_to_star(g, t), Property.NE)
-            assert ne_preserved_after_ty(g, t) == direct
-            checked += 1
-    assert checked == 43
 
 
 def test_explore_family_validation():

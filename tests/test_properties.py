@@ -11,12 +11,12 @@ import networkx as nx
 import pytest
 
 from minorsieve import Graph, Property, all_entries, build_named, check, \
-    check_with_witness, disjoint_union, find_apex_edge, find_apex_vertex, \
-    find_contraction_apex
+    check_with_witness, disjoint_union, find_apex_vertex
 
 from minorsieve import properties
 from minorsieve.generate import universe_level
-from minorsieve.graphs import Rows, edges_from_rows, rows_delete_edge
+from minorsieve.graphs import Rows, edges_from_rows, rows_delete_edge, \
+    rows_non_edges
 from minorsieve.planarity import is_planar_rows, nonplanar_witness
 from minorsieve.properties import first_planar_contraction, \
     first_planar_edge_deletion, is_nc_rows, is_ne_rows
@@ -45,7 +45,7 @@ def naive_with_witness(g: Graph, prop: Property):
     contractions = [(("edge", e), g.contract_edge(*e))
                     for e in g.sorted_edges()]
     additions = [(("vertex-pair", e), g.add_edge(*e))
-                 for e in g.non_edges()]
+                 for e in rows_non_edges(g.rows())]
 
     def exists_nonplanar(results):
         wit = next((w for w, h in results if not nx_planar(h)), None)
@@ -157,10 +157,10 @@ def test_apex_finders():
     assert find_apex_vertex(Graph.complete(6)) is None
     v = find_apex_vertex(disjoint_union(Graph(1), K5))
     assert v is not None
-    assert find_apex_edge(build_named("K6-e")) is None
-    assert find_apex_edge(K5) is not None
-    assert find_contraction_apex(K33) is not None
-    assert find_contraction_apex(build_named("K43")) is None
+    assert first_planar_edge_deletion(build_named("K6-e").rows()) is None
+    assert first_planar_edge_deletion(K5.rows()) is not None
+    assert first_planar_contraction(K33.rows()) is not None
+    assert first_planar_contraction(build_named("K43").rows()) is None
 
 
 def test_properties_of_trivial_graphs():
