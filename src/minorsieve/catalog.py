@@ -28,12 +28,12 @@ a graph with a distinguished edge whose deletion/contraction behavior
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import cache, partial
 from itertools import combinations, product
 import re
 import time
-from typing import Callable, Iterable
 
 from .canon import canonical_data, canonical_graph, canonical_key, \
     relabel_rows
@@ -48,19 +48,17 @@ from .planarity import is_planar
 from .properties import Property, check
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(namedtuple("CatalogEntry", "id graph claims construction")):
     """A graph, the claims made about it, and how it was built.
 
-    ``claims`` hold property ids ("NE"), "MM-" prefixed minimality ids
-    ("MM-NE"), or "planar"/"nonplanar"; all are re-derivable by
-    ``check_claim``.  ``construction`` is a human-readable recipe note.
+    ``id`` is the entry's name and ``graph`` its canonical graph.
+    ``claims``, a frozenset, holds property ids ("NE"), "MM-" prefixed
+    minimality ids ("MM-NE"), or "planar"/"nonplanar"; all are
+    re-derivable by ``check_claim``.  ``construction`` is a
+    human-readable recipe note.
     """
 
-    id: str
-    graph: Graph
-    claims: frozenset[str]
-    construction: str
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 from collections import Counter
-from pathlib import Path
 import sys
 
 from .canon import canonical_key
@@ -59,7 +58,11 @@ class _FileError(Exception):
 
 def _read_graph_file(path: str) -> list[Graph]:
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as f:
+                text = f.read()
     except OSError:
         raise _FileError(f"cannot read {path!r}") from None
     graphs = read_graphs(text)
@@ -133,7 +136,8 @@ def _found_lines(graphs, docs: list[dict], out: str | None) -> list[str]:
     without ``out``, the text listing of their ``docs``."""
     if out:
         try:
-            Path(out).write_text(graphs_to_graph6_lines(graphs))
+            with open(out, "w") as f:
+                f.write(graphs_to_graph6_lines(graphs))
         except OSError:
             raise _FileError(f"cannot write {out!r}") from None
         return []

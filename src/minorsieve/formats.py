@@ -12,7 +12,7 @@ length.  Both readers reject an order above ``canon.MAX_ORDER``.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import __version__
 from .canon import MAX_ORDER

@@ -86,9 +86,9 @@ job count.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 import time
-from dataclasses import dataclass
-from typing import Iterable
 
 from .canon import _orbit, _subset_image, _twin_swaps, _vertex_image, \
     canonical_data, canonical_key_rows, relabel_rows, root_cells
@@ -106,16 +106,17 @@ MAX_ENUM_ORDER = 10
 _PLANARITY_MODES = ("all", "planar", "nonplanar")
 
 
-@dataclass(frozen=True)
-class EnumFilter:
-    """Target shape for one enumeration level."""
+class EnumFilter(namedtuple("EnumFilter",
+                            "order min_degree connected planarity",
+                            defaults=(0, False, "all"))):
+    """Target shape for one enumeration level: ``order``, and optionally
+    ``min_degree`` (0), ``connected`` (False) and ``planarity`` ("all",
+    "planar" or "nonplanar")."""
 
-    order: int
-    min_degree: int = 0
-    connected: bool = False
-    planarity: str = "all"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.order < 1:
             raise ValueError("order must be at least 1")
         if self.order > MAX_ENUM_ORDER:
@@ -125,6 +126,12 @@ class EnumFilter:
             raise ValueError("min_degree must be nonnegative")
         if self.planarity not in _PLANARITY_MODES:
             raise ValueError(f"planarity must be one of {_PLANARITY_MODES}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> EnumFilter:
+        # through __new__, so that _replace validates its result too
+        return cls(*iterable)
 
     def admits(self, rows: Rows) -> bool:
         """Direct predicate; the enumerator's pruning must agree with it."""
@@ -405,9 +412,16 @@ def _final_pairs(filt: EnumFilter, jobs: int = 1, shard: int = 0,
     members are decided in chunks of the pool, except for a count whose
     level is not cached yet; every other level is streamed by
     ``_expand_level``.  ``EnumFilter`` bounds the order, so a level at
-    the cap is always streamed and never cached.
+    the cap is always streamed and never cached; keeping every member of
+    one in a single call would hold it whole all the same, so that raises
+    ResourceLimitError before any level is built.
     """
     n = filt.order
+    if keep is True and shards == 1 and n == MAX_ENUM_ORDER:
+        raise ResourceLimitError(
+            f"an order-{n} level listed in one piece is held in memory "
+            "whole; count it, search it for a property, or list it in "
+            "shards")
     worker_count(jobs, 1)  # rejects jobs < 1 here too, where no map runs
     cached = shards == 1 and n < MAX_ENUM_ORDER and \
         filt == EnumFilter(order=n, planarity=filt.planarity) and \
@@ -460,18 +474,15 @@ def enumerate_partition(filt: EnumFilter, shard: int,
 # minor-minimal search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchReport:
-    """Outcome of a minimality search over one or more orders."""
+class SearchReport(namedtuple("SearchReport",
+                              "prop orders min_degree connected planarity "
+                              "scanned found wall_time")):
+    """Outcome of a minimality search over one or more orders: the
+    property, the tuple of orders, the pool's filter fields, the number
+    of pool graphs scanned, the tuple of graphs found and the wall time
+    in seconds."""
 
-    prop: Property
-    orders: tuple[int, ...]
-    min_degree: int
-    connected: bool
-    planarity: str
-    scanned: int
-    found: tuple[Graph, ...]
-    wall_time: float
+    __slots__ = ()
 
     def found_by_order(self) -> dict[int, int]:
         hist: dict[int, int] = {}

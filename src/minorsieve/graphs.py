@@ -16,7 +16,7 @@ result of an order-k operation is always a graph on 0..k-1.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 Edge = tuple[int, int]
 Rows = tuple[int, ...]

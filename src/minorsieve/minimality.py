@@ -134,7 +134,7 @@ classes, which ``rows_twin_firsts`` finds in one pass.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .canon import _orbit, _subset_image, _twin_swaps, canonical_data, \
     canonical_key, canonical_key_rows, relabel_rows, root_cells
@@ -145,7 +145,7 @@ from .graphs import Edge, Graph, Rows, bits, edges_from_rows, \
 from .planarity import is_planar_rows
 from .properties import Property, UPWARD_CLOSED, check, \
     first_planar_contraction, first_planar_edge_deletion, \
-    first_planar_vertex_deletion, is_nc_rows, is_ne_rows
+    first_planar_vertex_deletion, is_na_rows, is_nc_rows, is_ne_rows
 
 #: distinct members a sieve may visit before giving up loudly
 SIEVE_MEMBER_CAP = 1_000_000
@@ -238,16 +238,21 @@ def _orbit_minors(rows: Rows) -> Iterator[Rows]:
 # ---------------------------------------------------------------------------
 
 def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
-    """One-step minimality test; sound only for the upward-closed four."""
+    """One-step minimality test; sound only for the upward-closed four.
+
+    NA is decided on rows by ``is_na_rows``, which skips the base
+    planarity test."""
     if prop not in UPWARD_CLOSED:
         raise ValueError(f"{prop} is not upward-closed; use the sieve or oracle")
-    if not check(g, prop):
+    rows = g.rows()
+    na = prop is Property.NA
+    if not (is_na_rows(rows) if na else check(g, prop)):
         return False
     seen = set()  # repeats skipped; minors built only up to the first hit
-    for m in _orbit_minors(g.rows()):
+    for m in _orbit_minors(rows):
         if m not in seen:
             seen.add(m)
-            if check(Graph.from_rows(m), prop):
+            if is_na_rows(m) if na else check(Graph.from_rows(m), prop):
                 return False
     return True
 

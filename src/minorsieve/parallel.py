@@ -1,8 +1,11 @@
-"""The one ordered parallel map behind every ``jobs`` argument."""
+"""The one ordered parallel map behind every ``jobs`` argument.
+
+``multiprocessing`` is imported only when a map starts a pool, so a
+``jobs=1`` run never loads it.
+"""
 
 from __future__ import annotations
 
-from multiprocessing import get_context
 import os
 
 
@@ -24,6 +27,7 @@ def parallel_map(func, items: list, jobs: int) -> list:
     workers = worker_count(jobs, len(items))
     if workers == 1:
         return [func(x) for x in items]
+    from multiprocessing import get_context
     # fork: the package starts no threads, and a pool is made per order,
     # so spawn would re-import the package in every worker of every pool
     with get_context("fork").Pool(workers) as pool:

@@ -28,7 +28,7 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .graphs import Edge, Graph, Rows, edges_from_rows, rows_add_edge, \
@@ -55,12 +55,12 @@ class Property(Enum):
 UPWARD_CLOSED = frozenset({Property.NA, Property.IA, Property.IE, Property.IC})
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A vertex, edge or vertex pair that decides a property instance."""
+class Witness(namedtuple("Witness", "kind value")):
+    """A vertex, edge or vertex pair that decides a property instance:
+    ``kind`` is "vertex", "edge" or "vertex-pair", and ``value`` the
+    tuple of its vertices."""
 
-    kind: str  # "vertex" | "edge" | "vertex-pair"
-    value: tuple[int, ...]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,16 @@ def first_planar_edge_deletion(rows: Rows) -> Edge | None:
 
 def first_planar_contraction(rows: Rows) -> Edge | None:
     return _scan(rows, _CONTRACTION, True)
+
+
+def is_na_rows(rows: Rows) -> bool:
+    """Nonplanar with no planarizing single vertex deletion.
+
+    The nonplanarity conjunct needs no test of its own.  g - v is a
+    subgraph of g, so if every g - v is nonplanar, so is g once it has a
+    vertex; the order-0 graph is planar.
+    """
+    return bool(rows) and first_planar_vertex_deletion(rows) is None
 
 
 def is_ne_rows(rows: Rows) -> bool:

@@ -143,6 +143,33 @@ def test_order_past_cap_does_no_work(built_levels):
     assert built_levels == []
 
 
+def test_listing_a_level_at_the_cap_builds_nothing(built_levels):
+    """Keeping every member of an order-10 level in one call would hold
+    it in memory whole; both listing calls raise before any level is
+    built."""
+    from minorsieve import ResourceLimitError
+    filt = EnumFilter(order=generate.MAX_ENUM_ORDER)
+    with pytest.raises(ResourceLimitError, match="in memory whole"):
+        generate_graphs(filt)
+    with pytest.raises(ResourceLimitError, match="in memory whole"):
+        enumerate_partition(filt, 0, 1)
+    assert built_levels == []
+
+
+def test_counts_and_shards_at_the_cap_still_run(monkeypatch):
+    from minorsieve import ResourceLimitError
+    monkeypatch.setattr(generate, "MAX_ENUM_ORDER", 6)
+    filt = EnumFilter(order=6)
+    with pytest.raises(ResourceLimitError):
+        generate_graphs(filt)
+    halves = enumerate_partition(filt, 0, 2) + enumerate_partition(filt, 1, 2)
+    assert len(halves) == count_graphs(filt) == ALL_COUNTS[6]
+    report = search_minor_minimal(Property.NA, [6])
+    assert report.scanned == NONPLANAR_COUNTS[6]
+    assert [canonical_key(g) for g in report.found] == \
+        [canonical_key(Graph.complete(6))]
+
+
 def test_report_round_trip_fields():
     report = search_minor_minimal(Property.CAN, orders=[5])
     assert report.prop is Property.CAN

@@ -19,7 +19,7 @@ from minorsieve.graphs import Rows, edges_from_rows, rows_delete_edge, \
     rows_non_edges
 from minorsieve.planarity import is_planar_rows, nonplanar_witness
 from minorsieve.properties import first_planar_contraction, \
-    first_planar_edge_deletion, is_nc_rows, is_ne_rows
+    first_planar_edge_deletion, is_na_rows, is_nc_rows, is_ne_rows
 
 from conftest import to_networkx
 
@@ -182,6 +182,15 @@ def test_ne_nc_rows_need_no_base_test(reps_by_order, reps7):
             nonplanar and first_planar_edge_deletion(rows) is None), rows
         assert is_nc_rows(rows) == (
             nonplanar and first_planar_contraction(rows) is None), rows
+
+
+def test_na_rows_needs_no_base_test(reps_by_order, reps7):
+    """``is_na_rows`` skips the planarity test of the graph itself; it
+    still equals ``check(g, NA)`` on every class through order 7 and on
+    the order-0 graph, which has no vertex to delete."""
+    pools = list(reps_by_order.values()) + [reps7, [Graph(0)]]
+    for g in (g for reps in pools for g in reps):
+        assert is_na_rows(g.rows()) == check(g, Property.NA), g
 
 
 def reference_planar_edge_deletion(rows: Rows):
