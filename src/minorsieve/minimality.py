@@ -112,24 +112,32 @@ two, so m >= n: a chain scans at most m - 5 members, and a decision,
 root check and seeds included, at most 1 + m + m (m - 5) <= m * m.  The
 member cap counts the members a walk scans, the root included.
 
-Orbits.  The group is generated by the automorphisms the canonical
-search discovers and the twin swaps (``_automorphisms``); every
-generator is an automorphism, and a group too small only skips less.
-For an automorphism s of g, the minors g - s e, g / s e and g - s v are
-the images under s of g - e, g / e and g - v, so they have the same
-properties, and step(g, s e) has the image closure used above.  Hence
-the upward-closed decider checks one edge deletion and one contraction
-per edge orbit, and the walk runs one chain per root-edge orbit.  A
-discrete root partition admits only the identity, so it needs no
-search.  The group costs a canonical search, so it is computed late,
-when a decision moves past its first root chain or its first edge's
-two minors; a decision that ends there never pays for it.  Most pool
-decisions end in the root check, the seeds or that first chain or edge,
-so computing the group earlier would charge them a search they do not
-use.  For the same reason the seed loops of ``is_mmne`` and
-``is_mmnc``, which most pool decisions reach, use no group, and the
-vertex deletions, which come before any edge, use only the twin
-classes, which ``rows_twin_firsts`` finds in one pass.
+Orbits.  Every loop over the minors of the root g after its first
+member visits one member per orbit of one group of automorphisms of g,
+generated by those the canonical search discovers and the twin swaps
+(``_automorphisms``).  Every generator is an automorphism, and a group
+too small only skips less.  For an automorphism s of g, the minors
+g - s e, g / s e and g - s v are the images under s of g - e, g / e and
+g - v, so they have the same properties, and step(g, s e) has the image
+closure used above.  Hence:
+
+* the upward-closed decider checks one vertex deletion per vertex orbit
+  and one edge deletion and one contraction per edge orbit;
+* ``is_mmne`` scans one seed g - e per orbit of the edges not settled
+  yet, and a hit f settles g - f, so it settles every g - s f as well;
+  ``is_mmnc`` does the same with contractions;
+* the walk runs one chain per root-edge orbit.
+
+One lazy group (``_Group``) serves a whole decision: the seeds hand it to
+the walk.  It costs a canonical search, so it is built at the first
+orbit a loop asks for, when the loop resumes after its first member:
+after the first seed with a hit, or after the first vertex deletion
+without the property.  A decision that ends before never pays for it,
+and a discrete root partition admits only the identity, so it needs no
+search.  The NA root check, every g - v nonplanar, scans every vertex
+without the group: most NA pool decisions end there, and building the
+group after the first nonplanar g - v charged them more than the skipped
+planarity tests saved.
 """
 
 from __future__ import annotations
@@ -140,8 +148,7 @@ from .canon import _orbit, _subset_image, _twin_swaps, canonical_data, \
     canonical_key, canonical_key_rows, relabel_rows, root_cells
 from .errors import ResourceLimitError
 from .graphs import Edge, Graph, Rows, bits, edges_from_rows, \
-    rows_contract_edge, rows_delete_edge, rows_delete_vertex, rows_size, \
-    rows_twin_firsts
+    rows_contract_edge, rows_delete_edge, rows_delete_vertex, rows_size
 from .planarity import is_planar_rows
 from .properties import Property, UPWARD_CLOSED, check, \
     first_planar_contraction, first_planar_edge_deletion, \
@@ -201,34 +208,60 @@ def _automorphisms(rows: Rows) -> list[tuple[int, ...]]:
     return canonical_data(rows, cells)[2] + _twin_swaps(rows)
 
 
-def _edge_orbit_reps(rows: Rows, done: list[int]) -> Iterator[Edge]:
+class _Group:
+    """The group ``_automorphisms(rows)`` generates, searched for at the
+    first orbit asked of it, so a decision that ends before never pays
+    for it."""
+
+    __slots__ = ("rows", "gens")
+
+    def __init__(self, rows: Rows):
+        self.rows, self.gens = rows, None
+
+    def orbit(self, mask: int) -> set[int]:
+        """The images of the vertex set ``mask``."""
+        if self.gens is None:
+            self.gens = _automorphisms(self.rows)
+        return _orbit(mask, self.gens, _subset_image)
+
+
+def _mark(done: list[int], u: int, v: int, group: _Group) -> None:
+    """Add the orbit of the edge uv to ``done`` (adjacency rows)."""
+    for e in group.orbit(1 << u | 1 << v):
+        for x in bits(e):
+            done[x] |= e ^ 1 << x
+
+
+def _edge_orbit_reps(rows: Rows, done: list[int],
+                     group: _Group) -> Iterator[Edge]:
     """The edges of ``rows`` in ``edges_from_rows`` order, skipping
-    those in ``done`` (adjacency rows).  When resumed after an edge, the
-    generator adds that edge's orbit under ``_automorphisms`` to
-    ``done``, so it yields one edge per orbit; it computes the group
-    there, at the first resumption, so a caller that stops at the
-    first edge never pays for it."""
-    gens = None
+    those in ``done``.  When resumed after an edge, the generator marks
+    that edge's orbit done, so it yields one edge per orbit; a caller
+    that stops at the first edge never asks the group for an orbit."""
     for u, v in edges_from_rows(rows):
-        if done[u] >> v & 1:
-            continue
-        yield u, v
-        if gens is None:
-            gens = _automorphisms(rows)
-        for e in _orbit(1 << u | 1 << v, gens, _subset_image):
-            for x in bits(e):
-                done[x] |= e ^ 1 << x
+        if not done[u] >> v & 1:
+            yield u, v
+            _mark(done, u, v, group)
 
 
-def _orbit_minors(rows: Rows) -> Iterator[Rows]:
+def _vertex_orbit_reps(rows: Rows, group: _Group) -> Iterator[int]:
+    """The vertices of ``rows`` in order, one per orbit; as for
+    ``_edge_orbit_reps``, an orbit is asked for only on resumption."""
+    done = 0
+    for v in range(len(rows)):
+        if not done >> v & 1:
+            yield v
+            for w in group.orbit(1 << v):
+                done |= w
+
+
+def _orbit_minors(rows: Rows, group: _Group) -> Iterator[Rows]:
     """Labeled single-operation minors in ``_labeled_minors``' order:
-    one vertex deletion per twin class (``rows_twin_firsts``), and one
-    edge deletion and one contraction per edge orbit
-    (``_edge_orbit_reps``)."""
-    for v, u in enumerate(rows_twin_firsts(rows)):
-        if u == v:
-            yield rows_delete_vertex(rows, v)
-    for u, v in _edge_orbit_reps(rows, [0] * len(rows)):
+    one vertex deletion per vertex orbit, and one edge deletion and one
+    contraction per edge orbit."""
+    for v in _vertex_orbit_reps(rows, group):
+        yield rows_delete_vertex(rows, v)
+    for u, v in _edge_orbit_reps(rows, [0] * len(rows), group):
         yield rows_delete_edge(rows, u, v)
         yield rows_contract_edge(rows, u, v)
 
@@ -245,11 +278,12 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
     if prop not in UPWARD_CLOSED:
         raise ValueError(f"{prop} is not upward-closed; use the sieve or oracle")
     rows = g.rows()
+    group = _Group(rows)
     na = prop is Property.NA
     if not (is_na_rows(rows) if na else check(g, prop)):
         return False
     seen = set()  # repeats skipped; minors built only up to the first hit
-    for m in _orbit_minors(rows):
+    for m in _orbit_minors(rows, group):
         if m not in seen:
             seen.add(m)
             if is_na_rows(m) if na else check(Graph.from_rows(m), prop):
@@ -257,7 +291,7 @@ def is_minor_minimal_upclosed(g: Graph, prop: Property) -> bool:
     return True
 
 
-def _pivot_walk(rows: Rows, step, scan, label: str) -> bool:
+def _pivot_walk(rows: Rows, step, scan, label: str, group: _Group) -> bool:
     """True iff some proper member of the closure of ``rows`` under
     ``step(cur, u, v)`` is nonplanar with no planarizing edge under the
     scan's operation (the member is NE or NC).
@@ -267,11 +301,12 @@ def _pivot_walk(rows: Rows, step, scan, label: str) -> bool:
     module docstring proves that no other member needs a visit.
     ``done`` holds the orbits of the root edges whose chains found no
     hit, and ``cleared`` their images as rows, carried through the chain
-    by the same steps as ``cur``.
+    by the same steps as ``cur``.  ``group`` is the root's, as the seeds
+    left it.
     """
     done = [0] * len(rows)
     members = 1  # the root
-    for u, v in _edge_orbit_reps(rows, done):
+    for u, v in _edge_orbit_reps(rows, done, group):
         cur, cleared = step(rows, u, v), step(done, u, v)
         while not is_planar_rows(cur):
             members += 1
@@ -307,32 +342,32 @@ def _degree_violations(rows: Rows, ne: bool) -> list[str]:
 
 
 def is_mmne(g: Graph) -> bool:
-    """Minor-minimal NE: deletion seeds plus the contraction closure.
+    """Minor-minimal NE: deletion seeds, one per edge orbit, plus the
+    contraction closure.
 
-    A seed's hit settles the seed of that edge: when (g - e) - f is
-    planar, so is (g - f) - e, the same rows, so g - f is not NE and
-    needs no scan.
+    A seed's hit settles the orbit of that edge: when (g - e) - f is
+    planar, so is (g - f) - e, the same rows, so g - f is not NE, nor is
+    its image g - s f under an automorphism s.
     """
     rows = g.rows()
     if _degree_violations(rows, True) or not is_ne_rows(rows):
         return False
-    settled = set()
-    for e in edges_from_rows(rows):
-        if e in settled:
-            continue
+    group, done = _Group(rows), [0] * len(rows)
+    for e in _edge_orbit_reps(rows, done, group):
         # g - e is nonplanar because g is NE; only the scan is open
         hit = first_planar_edge_deletion(rows_delete_edge(rows, *e))
         if hit is None:
             return False
-        settled.add(hit)
+        _mark(done, *hit, group)
     return not _pivot_walk(rows, rows_contract_edge,
-                           first_planar_edge_deletion, "NE")
+                           first_planar_edge_deletion, "NE", group)
 
 
 def is_mmnc(g: Graph) -> bool:
-    """Minor-minimal NC: contraction seeds plus the deletion closure.
+    """Minor-minimal NC: contraction seeds, one per edge orbit, plus the
+    deletion closure.
 
-    A seed's hit settles later seeds.  ``rows_contract_edge`` labels each
+    A seed's hit settles the orbits of later seeds.  ``rows_contract_edge`` labels each
     merged class by its least vertex and keeps the other vertices in
     order, so the rows of a contraction depend only on the partition of
     the vertices into classes.  Let seed ab (a < b) hit xy in g / ab, and
@@ -340,27 +375,25 @@ def is_mmnc(g: Graph) -> bool:
     vertex a, the partition {a, b}, {x, y} is also (g / xy) / ab, so
     g / xy is not NC.  If x or y is a and the other maps to z, the class
     {a, b, z} is one more contraction from g / az and from g / bz, so
-    whichever of az and bz is an edge of g is settled.
+    whichever of az and bz is an edge of g is settled, and with it, as
+    for ``is_mmne``, its orbit.
     """
     rows = g.rows()
     if _degree_violations(rows, False) or not is_nc_rows(rows):
         return False
-    settled = set()
-    for a, b in edges_from_rows(rows):
-        if (a, b) in settled:
-            continue
+    group, done = _Group(rows), [0] * len(rows)
+    for a, b in _edge_orbit_reps(rows, done, group):
         # g / e is nonplanar because g is NC; only the scan is open
         hit = first_planar_contraction(rows_contract_edge(rows, a, b))
         if hit is None:
             return False
         x, y = (p + (p >= b) for p in hit)
-        if a in (x, y):
-            z = x + y - a
-            settled.update((min(w, z), max(w, z)) for w in (a, b))
-        else:
-            settled.add((x, y))
+        for u, v in ((a, x + y - a), (b, x + y - a)) if a in (x, y) \
+                else ((x, y),):
+            if rows[u] >> v & 1:
+                _mark(done, u, v, group)
     return not _pivot_walk(rows, rows_delete_edge,
-                           first_planar_contraction, "NC")
+                           first_planar_contraction, "NC", group)
 
 
 # ---------------------------------------------------------------------------

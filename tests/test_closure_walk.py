@@ -12,12 +12,14 @@ so they are the independent check of both.
 
 from __future__ import annotations
 
+from functools import partial
 import random
 
 import pytest
 
-from minorsieve import EnumFilter, Graph, ResourceLimitError, all_entries, \
-    generate_graphs, is_mmnc, is_mmne, is_planar, mm_catalog
+from minorsieve import EnumFilter, Graph, Property, ResourceLimitError, \
+    all_entries, generate_graphs, is_minor_minimal_upclosed, is_mmnc, \
+    is_mmne, is_planar, mm_catalog
 from minorsieve.canon import canonical_key_rows
 from minorsieve.graphs import Rows, edges_from_rows, rows_contract_edge, \
     rows_delete_edge, rows_subdivide_edge
@@ -99,7 +101,8 @@ WALKS = {
 def fast_walk(rows: Rows, label: str) -> bool:
     """The pivot walk's verdict: some proper member has the property."""
     step, _, scan = WALKS[label]
-    return minimality._pivot_walk(rows, step, scan, label)
+    return minimality._pivot_walk(rows, step, scan, label,
+                                  minimality._Group(rows))
 
 
 def assert_same_walk(rows: Rows, label: str) -> int:
@@ -153,6 +156,27 @@ def test_agrees_with_reference_on_relabeled_catalog():
             g = relabeled(e.graph, seed)
             assert is_mmne(g) == ne, (e.id, seed)
             assert is_mmnc(g) == nc, (e.id, seed)
+
+
+def test_verdicts_survive_relabeling(reps_by_order, reps7):
+    """The orbit bookkeeping of the seeds, the walk and the vertex block
+    depends on the labels.  Every catalog graph under five seeded
+    relabelings gets its unpermuted NE, NC and NA verdicts, and every
+    nonplanar class through order 7, relabeled, gets the reference
+    deciders' NE and NC verdicts."""
+    na = partial(is_minor_minimal_upclosed, prop=Property.NA)
+    for e in all_entries():
+        want = [decide(e.graph) for decide in (is_mmne, is_mmnc, na)]
+        for seed in range(1, 6):
+            g = relabeled(e.graph, seed)
+            assert [decide(g) for decide in (is_mmne, is_mmnc, na)] \
+                == want, (e.id, seed)
+    pools = list(reps_by_order.values()) + [reps7]
+    graphs = [g for reps in pools for g in reps if not is_planar(g)]
+    for i, g in enumerate(graphs):
+        h = relabeled(g, i)
+        assert is_mmne(h) == reference_is_mmne(g), g
+        assert is_mmnc(h) == reference_is_mmnc(g), g
 
 
 def test_agrees_with_reference_on_subdivided_catalog():
@@ -321,7 +345,8 @@ def test_stops_are_sound(reps_by_order, reps7):
             scanned = []
             minimality._pivot_walk(g.rows(), step, lambda h, scan=scan:
                                    scanned.append((h, scan(h)))
-                                   or scanned[-1][1], label)
+                                   or scanned[-1][1], label,
+                                   minimality._Group(g.rows()))
             taken = {h for h, _ in scanned[1:]}
             for h, hit in scanned:
                 if hit is None:
@@ -352,16 +377,20 @@ def test_walk_verdicts_match_seen_set_walk():
         rows = g.rows()
         for label, (step, _, scan) in WALKS.items():
             want = seen_set_walk(rows, step, scan, label)
-            assert minimality._pivot_walk(rows, step, scan, label) == want, \
+            assert minimality._pivot_walk(rows, step, scan, label,
+                                          minimality._Group(rows)) == want, \
                 (g, label)
             verdicts.add((label, want))
     assert verdicts == {(label, v) for label in WALKS for v in (False, True)}
 
 
 def test_settled_seeds_lack_the_property(monkeypatch, reps7):
-    """Every seed that ``is_mmne`` (``is_mmnc``) settles, and so never
-    scans, has a planarizing edge deletion (contraction) whose result
-    rows an earlier seed's scan found planar, so it is not NE (NC)."""
+    """Every seed that ``is_mmne`` (``is_mmnc``) skips, and so never
+    scans, lacks the property for a reason the decider knows: it has a
+    planarizing edge deletion (contraction) whose result rows an earlier
+    seed's scan found planar (it is settled), or its minor has the
+    canonical key of the minor of a seed that was scanned with a hit or
+    is settled (an automorphism maps one seed to the other)."""
     scanned = []
     for name in ("first_planar_edge_deletion", "first_planar_contraction"):
         scan = getattr(minimality, name)
@@ -370,7 +399,7 @@ def test_settled_seeds_lack_the_property(monkeypatch, reps7):
                             or scanned[-1][1])
     graphs = [e.graph for e in all_entries()]
     graphs += [g for g in reps7 if not is_planar(g)]
-    settled = dict.fromkeys(WALKS, 0)
+    skips = {(label, by): 0 for label in WALKS for by in ("hit", "orbit")}
     for g in graphs:
         rows = g.rows()
         edges = edges_from_rows(rows)
@@ -394,15 +423,22 @@ def test_settled_seeds_lack_the_property(monkeypatch, reps7):
                 continue  # decided before the seeds
             planar = {SCAN_OPS[label](seeds[i], *hit)
                       for i, hit in done.items() if hit is not None}
+            settled = {i for i, h in enumerate(seeds) if i not in done and
+                       any(SCAN_OPS[label](h, *f) in planar
+                           for f in edges_from_rows(h))}
+            known = {canonical_key_rows(seeds[i]) for i in settled}
+            known |= {canonical_key_rows(seeds[i])
+                      for i, hit in done.items() if hit is not None}
             last = max(done)
             for i in range(last if done[last] is None else len(seeds)):
-                if i not in done:
-                    settled[label] += 1
-                    assert any(SCAN_OPS[label](seeds[i], *f) in planar
-                               for f in edges_from_rows(seeds[i])), \
-                        (g, label, edges[i])
-                    assert not prop_rows(seeds[i]), (g, label, edges[i])
-    assert min(settled.values()) > 0, settled
+                if i in done:
+                    continue
+                by = "hit" if i in settled else "orbit"
+                skips[label, by] += 1
+                assert by == "hit" or canonical_key_rows(seeds[i]) in known, \
+                    (g, label, edges[i])
+                assert not prop_rows(seeds[i]), (g, label, edges[i])
+    assert min(skips.values()) > 0, skips
 
 
 # ---------------------------------------------------------------------------

@@ -49,19 +49,21 @@ def test_upclosed_stops_at_the_first_minor_with_the_property(monkeypatch):
     orbit_minors = minimality._orbit_minors
     built = []
 
-    def counting(rows):
-        for m in orbit_minors(rows):
+    def counting(rows, group):
+        for m in orbit_minors(rows, group):
             built.append(m)
             yield m
 
     monkeypatch.setattr(minimality, "_orbit_minors", counting)
     k7 = Graph.complete(7)
     assert not is_minor_minimal_upclosed(k7, Property.NA)
-    assert len(built) == 1 < len(list(orbit_minors(k7.rows())))
+    assert len(built) == 1 < len(list(orbit_minors(
+        k7.rows(), minimality._Group(k7.rows()))))
     k6 = Graph.complete(6)
     built.clear()
     assert is_minor_minimal_upclosed(k6, Property.NA)  # every minor built
-    assert len(built) == len(list(orbit_minors(k6.rows())))
+    assert len(built) == len(list(orbit_minors(
+        k6.rows(), minimality._Group(k6.rows()))))
 
 
 def reference_upclosed(g: Graph, prop: Property, minors: list[Rows]) -> bool:
